@@ -1,10 +1,15 @@
 """Spectral-action numerics for the deformed torus.
 
-Covers cutoff moments, heat traces (exact lattice formula and dense-window
-oracle), twisted heat traces with their small-t scaling, asymptotic expansion
-fits over a cutoff-scale grid, and the residue-based noncommutative integrals
-of powers of (perturbation times inverse Dirac) that assemble the constant
-term of the expansion.
+Covers cutoff moments, heat traces, spectral actions, twisted heat traces
+with their small-t scaling, asymptotic expansion fits over a cutoff-scale
+grid, and the residue-based noncommutative integrals of powers of
+(perturbation times inverse Dirac) that assemble the constant term of the
+expansion.
+
+Perturbed heat traces and spectral actions share one engine, since the heat
+trace at t is the Gaussian action at lam = t^{-1/2}: it diagonalizes the
+window compression of the covariant Dirac operator (by connected blocks when
+the one-form's support is collinear) and adds one outside-window tail bound.
 
 The integrals are computed exactly: the diagonal amplitude of the q-th power
 is expanded over Fourier shift paths with its sine factors split into
@@ -20,16 +25,15 @@ residues.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
 from .clifford import build_gamma
-from .operators import ModeWindow, OneForm, WindowError, assemble_dense, covariant_dirac
-from .polynomials import Poly, poly_mul, poly_scale
+from .operators import ModeWindow, OneForm, WindowError, assemble_sparse, covariant_dirac
+from .polynomials import Poly, poly_mul
 from .weyl import DeformationMatrix, FourierElement, field_strength, multiply, trace
 from .zeta import TwistedSeries, poisson_dual, sphere_integral, theta_sum, vol_sphere
 
@@ -150,8 +154,7 @@ def _gaussian_lattice_full(n: int, t: float) -> tuple[float, float]:
     return val, 1e-16 * abs(val)
 
 
-def _one_form_l1(A: OneForm) -> float:
-    return sum(sum(abs(v) for _, v in c.items()) for c in A.components)
+_HEAT_METHODS = ("auto", "exact", "exact-formula", "chain", "dense-window")
 
 
 def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
@@ -161,11 +164,14 @@ def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
     """Trace of e^{-t D_A^2}.
 
     With no perturbation the exact lattice formula 2^m sum_k e^{-t |k|^2}
-    applies (direct or dual side depending on t).  With a perturbation the
-    operator is compressed to a mode window sized from t plus the spread and
-    either fully diagonalized or, above the dense limit, estimated
-    stochastically with fixed per-probe seeds.
+    applies (direct or dual side depending on t).  With a perturbation this
+    is the Gaussian spectral action at lam = t^{-1/2} on a mode window; above
+    the dense limit a non-collinear support is estimated stochastically with
+    fixed per-probe seeds instead.  `method` is one of auto, exact,
+    exact-formula, chain or dense-window; chain needs a collinear support.
     """
+    if method not in _HEAT_METHODS:
+        raise ValueError(f"unknown heat-trace method {method!r}; expected one of {_HEAT_METHODS}")
     if t <= 0:
         raise ValueError("t must be positive")
     m = n // 2
@@ -181,43 +187,15 @@ def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
     if method in ("exact", "exact-formula"):
         raise ValueError("exact-formula method requires A = None")
 
-    spread = A.spread
-    if window_K is None:
-        window_K = int(math.ceil(math.sqrt(42.0 / t))) + spread + 1
-    window = ModeWindow(n, window_K, spinor_dim=2 ** m)
-    shift = 2.0 * _one_form_l1(A)
-
-    chain = _collinear_direction(A)
-    if chain is not None and method in ("auto", "chain"):
-        eigs = _chain_eigenvalues(A, theta, window)
-        val = float(np.sum(np.exp(-t * eigs ** 2)))
-        methodname = "chain-window"
-    elif window.basis_size <= dense_limit or method == "dense-window":
-        DA = covariant_dirac(A, theta)
-        mat = assemble_dense(DA, window, basis_limit=max(dense_limit, window.basis_size))
-        eigs = np.linalg.eigvalsh(mat)
-        val = float(np.sum(np.exp(-t * eigs ** 2)))
-        methodname = "dense-window"
+    profile, lam = CutoffProfile.gaussian(), t ** -0.5
+    window = ModeWindow(n, _window_K(profile, lam, A, window_K), spinor_dim=2 ** m)
+    if method == "auto" and window.basis_size > dense_limit and _collinear_direction(A) is None:
+        M = assemble_sparse(covariant_dirac(A, theta), window, basis_limit=window.basis_size)
+        val, tail, path = (_hutchinson_heat(M, t, probes, seed),
+                           _outside_tail(profile, lam, A, window.K), "hutchinson")
     else:
-        val = _hutchinson_heat(A, theta, window, t, probes=probes, seed=seed)
-        methodname = "hutchinson"
-    tail = (2 ** m) * _outside_gaussian_tail(n, window_K, t, shift)
-    return HeatSample(t=t, value=val, tail_bound=tail, method=methodname,
-                      window_K=window_K)
-
-
-def _outside_gaussian_tail(n: int, K: int, t: float, shift: float) -> float:
-    """Bound on sum over |k|_inf > K of e^{-t (|k| - shift)^2}."""
-    total = 0.0
-    j = K + 1
-    while True:
-        lam = max(j - shift, 0.0)
-        term = 2 * n * (2 * j + 1) ** (n - 1) * math.exp(-t * lam * lam)
-        total += term
-        if term < 1e-18 * (1.0 + total) or j > K + 10_000:
-            break
-        j += 1
-    return total
+        val, tail, path = _perturbed_trace(profile, lam, A, theta, window, method, dense_limit)
+    return HeatSample(t=t, value=val, tail_bound=tail, method=path, window_K=window.K)
 
 
 def _collinear_direction(A: OneForm) -> tuple[int, ...] | None:
@@ -225,83 +203,94 @@ def _collinear_direction(A: OneForm) -> tuple[int, ...] | None:
     pts = [h for c in A.components for h, _ in c.items() if any(h)]
     if not pts:
         return None
-    base = pts[0]
-    g = 0
-    for x in base:
-        g = math.gcd(g, abs(x))
-    d = tuple(x // g for x in base)
+    g = math.gcd(*pts[0])
+    d = tuple(x // g for x in pts[0])
     if next(x for x in d if x) < 0:
         d = tuple(-x for x in d)  # canonical sign: first nonzero positive
-    for h in pts:
-        # h parallel to d <=> h = s d for integer s
-        s_candidates = {hi // di for hi, di in zip(h, d) if di != 0}
-        if len(s_candidates) != 1:
-            return None
-        s = s_candidates.pop()
-        if any(hi != s * di for hi, di in zip(h, d)):
-            return None
+    # h is parallel to the primitive d, hence an integer multiple, iff all 2x2 minors vanish
+    if any(h[i] * d[j] != h[j] * d[i] for h in pts for i in range(len(d)) for j in range(i)):
+        return None
     return d
 
 
-def _chain_eigenvalues(A: OneForm, theta: DeformationMatrix, window: ModeWindow) -> np.ndarray:
-    """Eigenvalues of the window compression when hops stay on lattice lines.
+def _window_K(profile: CutoffProfile, lam: float, A: OneForm, window_K: int | None = None) -> int:
+    """window_K if given, else the profile's lattice radius plus the support spread."""
+    if window_K is not None:
+        return window_K
+    return _profile_window_radius(profile, lam) + A.spread + 1
 
-    The compression block-diagonalizes over lines k0 + j d, so each line is
-    diagonalized independently; this matches the full dense window exactly.
+
+def _check_dense_limit(basis_size: int, dense_limit: int) -> None:
+    if basis_size > dense_limit:
+        raise WindowError(
+            f"window basis {basis_size} exceeds dense limit {dense_limit}; "
+            "use a collinear one-form or a smaller scale")
+
+
+def _perturbed_trace(profile: CutoffProfile, lam: float, A: OneForm,
+                     theta: DeformationMatrix, window: ModeWindow, method: str = "auto",
+                     dense_limit: int = _DENSE_LIMIT) -> tuple[float, float, str]:
+    """(Tr profile(D_A / lam) on the window, outside-window tail bound, path).
+
+    A collinear support splits the compression into lattice lines along its
+    direction, cut where sin(1/2 h.Theta k) vanishes (chain-window); otherwise,
+    or when forced, it is diagonalized whole (dense-window).
     """
-    d = _collinear_direction(A)
-    if d is None:
-        raise WindowError("one-form support is not collinear")
-    DA = covariant_dirac(A, theta)
-    sdim = window.spinor_dim
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for k0 in window.points:
-        if k0 in seen:
-            continue
-        line = [k0]
-        for sgn in (1, -1):
-            k = tuple(a + sgn * b for a, b in zip(k0, d))
-            while window.contains(k):
-                line.append(k)
-                k = tuple(a + sgn * b for a, b in zip(k, d))
-        line.sort()
-        seen.update(line)
-        pos = {k: j for j, k in enumerate(line)}
-        L = len(line) * sdim
-        block = np.zeros((L, L), dtype=complex)
-        for k in line:
-            for i in range(sdim):
-                colidx = pos[k] * sdim + i
-                for k2, i2, amp in DA.apply_basis(k, i):
-                    if k2 in pos:
-                        block[pos[k2] * sdim + i2, colidx] += amp
-        out.append(np.linalg.eigvalsh(block))
-    return np.concatenate(out) if out else np.zeros(0)
+    chain = method != "dense-window" and _collinear_direction(A) is not None
+    if method == "chain" and not chain:
+        raise WindowError("chain method needs a nonzero one-form with collinear support")
+    if method == "auto" and not chain:
+        _check_dense_limit(window.basis_size, dense_limit)
+    M = assemble_sparse(covariant_dirac(A, theta), window, basis_limit=window.basis_size)
+    eigs = _block_eigenvalues(M) if chain else np.linalg.eigvalsh(M.toarray())
+    val = float(np.sum([profile(x) for x in np.abs(eigs) / lam]))
+    return (val, _outside_tail(profile, lam, A, window.K),
+            "chain-window" if chain else "dense-window")
 
 
-def _hutchinson_heat(A: OneForm, theta: DeformationMatrix, window: ModeWindow,
-                     t: float, probes: int, seed: int) -> float:
-    """Rademacher trace estimate of e^{-t M^2} on the window compression."""
-    from scipy.sparse import csc_matrix
+def _block_eigenvalues(M) -> np.ndarray:
+    """Eigenvalues of a sparse hermitian matrix, one connected block at a time.
+
+    The pattern is |M| > 0, so purely imaginary entries stay edges and no
+    complex data reaches csgraph, which would cast it to real.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    _, labels = connected_components(abs(M) > 0, directed=False)
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    ends = np.cumsum(sizes)
+    P = M[order][:, order]
+    return np.concatenate([np.linalg.eigvalsh(P[a:b, a:b].toarray())
+                           for a, b in zip(ends - sizes, ends)])
+
+
+def _outside_tail(profile: CutoffProfile, lam: float, A: OneForm, K: int) -> float:
+    """Bound on the trace outside a radius-K window.
+
+    Each eigenvalue lies within shift = 2 sum |A| of a flat one, so the bound
+    sums 2^m profile((j - shift) / lam) over the shells |k|_inf = j > K.
+    """
+    n = A.n
+    shift = 2.0 * sum(abs(v) for c in A.components for _, v in c.items())
+    total = 0.0
+    for j in range(K + 1, K + 10_000):
+        term = 2 * n * (2 * j + 1) ** (n - 1) * profile.fn(max(j - shift, 0.0) / lam)
+        total += term
+        if term < 1e-18 * (1.0 + total):
+            break
+    return (2 ** (n // 2)) * total
+
+
+def _hutchinson_heat(M, t: float, probes: int, seed: int) -> float:
+    """Rademacher trace estimate of e^{-t M^2} for a sparse window compression."""
     from scipy.sparse.linalg import expm_multiply
 
-    DA = covariant_dirac(A, theta)
-    N = window.basis_size
-    rows, cols, vals = [], [], []
-    for k, i in window.basis():
-        c = window.index(k, i)
-        for k2, i2, amp in DA.apply_basis(k, i):
-            if window.contains(k2):
-                rows.append(window.index(k2, i2))
-                cols.append(c)
-                vals.append(amp)
-    M = csc_matrix((vals, (rows, cols)), shape=(N, N))
     M2 = (M @ M).tocsc() * (-t)
     acc = 0.0
     for p in range(probes):
         rng = np.random.default_rng(seed * 1_000_003 + p)
-        v = rng.integers(0, 2, size=N).astype(float) * 2.0 - 1.0
+        v = rng.integers(0, 2, size=M.shape[0]).astype(float) * 2.0 - 1.0
         w = expm_multiply(M2, v.astype(complex))
         acc += float(np.real(np.vdot(v, w)))
     return acc / probes
@@ -397,8 +386,9 @@ def spectral_action(profile: CutoffProfile, lam: float, n: int,
 
     Unperturbed Gaussian runs through the heat-trace code path at t = 1/lam^2;
     other unperturbed profiles are summed directly over the lattice.  With a
-    perturbation the window compression is diagonalized (chain fast path when
-    the support is collinear).
+    perturbation the window compression is diagonalized (by blocks when the
+    support is collinear); above the dense limit a non-collinear support
+    raises WindowError.
     """
     if lam <= 0:
         raise ValueError("cutoff scale must be positive")
@@ -406,32 +396,14 @@ def spectral_action(profile: CutoffProfile, lam: float, n: int,
     if A is None or A.is_zero():
         if profile.name == "gaussian":
             hs = heat_trace(n, 1.0 / lam ** 2)
-            return ActionValue(lam, float(hs.value.real if isinstance(hs.value, complex)
-                                          else hs.value), hs.tail_bound, "exact-lattice")
+            return ActionValue(lam, float(hs.value), hs.tail_bound, "exact-lattice")
         val, tail = _profile_lattice_sum(profile, lam, n)
         return ActionValue(lam, (2 ** m) * val, (2 ** m) * tail, "exact-lattice")
     if theta is None:
         raise ValueError("a deformation matrix is required with a perturbation")
-    spread = A.spread
-    if window_K is None:
-        window_K = _profile_window_radius(profile, lam) + spread + 1
-    window = ModeWindow(n, window_K, spinor_dim=2 ** m)
-    if _collinear_direction(A) is not None:
-        eigs = _chain_eigenvalues(A, theta, window)
-        methodname = "chain-window"
-    else:
-        if window.basis_size > dense_limit:
-            raise WindowError(
-                f"window basis {window.basis_size} exceeds dense limit {dense_limit}; "
-                "use a collinear one-form or a smaller scale")
-        DA = covariant_dirac(A, theta)
-        mat = assemble_dense(DA, window, basis_limit=max(dense_limit, window.basis_size))
-        eigs = np.linalg.eigvalsh(mat)
-        methodname = "dense-window"
-    vals = np.array([profile(x) for x in np.abs(eigs) / lam])
-    shift = 2.0 * _one_form_l1(A)
-    tail = (2 ** m) * _profile_outside_tail(profile, lam, n, window_K, shift)
-    return ActionValue(lam, float(np.sum(vals)), tail, methodname)
+    window = ModeWindow(n, _window_K(profile, lam, A, window_K), spinor_dim=2 ** m)
+    val, tail, path = _perturbed_trace(profile, lam, A, theta, window, dense_limit=dense_limit)
+    return ActionValue(lam, val, tail, path)
 
 
 def _profile_window_radius(profile: CutoffProfile, lam: float) -> int:
@@ -461,18 +433,6 @@ def _profile_lattice_sum(profile: CutoffProfile, lam: float, n: int) -> tuple[fl
     return float(np.sum(vals)), float(np.sum(vals[edge])) * 2.0 + 1e-16 * float(np.sum(vals))
 
 
-def _profile_outside_tail(profile: CutoffProfile, lam: float, n: int, K: int,
-                          shift: float) -> float:
-    total = 0.0
-    for j in range(K + 1, K + 2000):
-        x = max(j - shift, 0.0) / lam
-        term = 2 * n * (2 * j + 1) ** (n - 1) * profile.fn(x)
-        total += term
-        if term < 1e-18 * (1.0 + total):
-            break
-    return total
-
-
 @dataclass(frozen=True)
 class ExpansionFit:
     lams: tuple[float, ...]
@@ -485,23 +445,25 @@ class ExpansionFit:
 
 
 def fit_expansion(profile: CutoffProfile, lam_grid: Sequence[float], n: int,
-                  theta: DeformationMatrix | None = None, A: OneForm | None = None,
-                  threads: int = 1) -> ExpansionFit:
+                  theta: DeformationMatrix | None = None, A: OneForm | None = None
+                  ) -> ExpansionFit:
     """Least-squares fit of the action to sum_k weight_k c_k lam^k plus a 1/lam guard.
 
     Returns the c_k with uncertainties from the residual; the caller widens
-    the grid when the reported conditioning is poor.
+    the grid when the reported conditioning is poor.  Every dense window of
+    the grid is checked against the dense limit before the first eigensolve.
     """
     lams = [float(x) for x in lam_grid]
     if len(lams) < n + 3:
         raise ValueError(f"need at least {n + 3} grid points for dimension {n}")
     if max(lams) < 4.0 * min(lams):
         raise ValueError("grid spread must cover at least a factor of 4")
+    if A is not None and not A.is_zero() and _collinear_direction(A) is None:
+        for lam in lams:
+            _check_dense_limit((2 * _window_K(profile, lam, A) + 1) ** n * 2 ** (n // 2),
+                               _DENSE_LIMIT)
 
-    def one(lam: float) -> float:
-        return spectral_action(profile, lam, n, theta=theta, A=A).value
-
-    values = _parallel_map(one, lams, threads)
+    values = [spectral_action(profile, lam, n, theta=theta, A=A).value for lam in lams]
     powers = list(range(n, -1, -1)) + [-1]
     design = np.array([[lam ** p for p in powers] for lam in lams])
     scale = np.sqrt(np.sum(design ** 2, axis=0))
@@ -526,14 +488,6 @@ def fit_expansion(profile: CutoffProfile, lam_grid: Sequence[float], n: int,
     return ExpansionFit(lams=tuple(lams), values=tuple(float(v) for v in values),
                         coeffs=coeffs, sigmas=sigmas, guard_coeff=float(beta[-1]),
                         residual=residual, cond=cond)
-
-
-def _parallel_map(fn, items: Iterable, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -770,8 +724,7 @@ class CosmologicalTerm:
 
 def cosmological_term(A: OneForm | None, theta: DeformationMatrix | None, n: int,
                       profile: CutoffProfile | None = None,
-                      lam_grid: Sequence[float] | None = None,
-                      threads: int = 1) -> CosmologicalTerm:
+                      lam_grid: Sequence[float] | None = None) -> CosmologicalTerm:
     """Leading expansion coefficient versus its perturbation-independent value.
 
     Fits the action over the scale grid and normalizes the top coefficient by
@@ -779,6 +732,6 @@ def cosmological_term(A: OneForm | None, theta: DeformationMatrix | None, n: int
     """
     profile = profile or CutoffProfile.gaussian()
     lam_grid = list(lam_grid) if lam_grid is not None else [6.0, 7.3, 9.0, 11.0, 13.5, 16.4, 20.0, 24.0]
-    fit = fit_expansion(profile, lam_grid, n, theta=theta, A=A, threads=threads)
+    fit = fit_expansion(profile, lam_grid, n, theta=theta, A=A)
     ref = (2 ** (n // 2)) * vol_sphere(n)
     return CosmologicalTerm(value=fit.coeffs[n], reference=ref, fit=fit)

@@ -27,7 +27,6 @@ from . import __version__
 from .action import (
     CutoffProfile,
     MomentError,
-    ScalingReport,
     constant_term,
     correction_scaling,
     fit_expansion,
@@ -35,7 +34,6 @@ from .action import (
     tau_F_squared,
 )
 from .diophantine import (
-    bv_search,
     classify_matrix,
     exp_profile,
     golden_ratio,
@@ -284,7 +282,7 @@ def _cmd_action_fit(cfg: RunConfig, args) -> int:
     profile = CutoffProfile.preset(cfg.profile, **cfg.profile_params)
     try:
         fit = fit_expansion(profile, cfg.lam_grid, cfg.n, theta=theta,
-                            A=None if A.is_zero() else A, threads=cfg.threads)
+                            A=None if A.is_zero() else A)
     except (MomentError, WindowError, ValueError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -468,7 +466,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=argparse.SUPPRESS, help="JSON config file")
     common.add_argument("--out", default=argparse.SUPPRESS, help="output directory override")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker cap (env NCSPECTRAL_THREADS)")
+                        help="recorded in summary.json; runs are single-threaded "
+                             "(env NCSPECTRAL_THREADS)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--n", type=int, default=argparse.SUPPRESS,
                         help="torus dimension override")

@@ -3,9 +3,9 @@
 Operators act on the basis {U_k (x) e_i : k in Z^n, i < 2^m} and are stored
 exactly as rules sending a basis index to a finite list of (k', i', amplitude)
 outputs with a declared spread radius in k.  Truncation happens only when a
-rule is assembled densely on a finite mode window, so the algebraic identities
+rule is assembled on a finite mode window, so the algebraic identities
 (gauge covariance, squared-operator expansion, pure-gauge cancellation) hold
-at coefficient level and the dense matrices serve purely as numerical oracles.
+at coefficient level and the window matrices serve purely as numerical oracles.
 
 The reality operator is never materialized: every conjugation by it is
 rewritten through the identity that sends left multiplication tensored with a
@@ -20,15 +20,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .clifford import GammaSet, build_gamma
+from .clifford import build_gamma
 from .weyl import (
     DeformationMatrix,
     FourierElement,
     adjoint,
     derivation,
     multiply,
-    trace,
 )
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "conjugate_by_Vu",
     "square_expansion_check",
     "kernel_projector",
+    "assemble_sparse",
     "assemble_dense",
     "spectrum",
     "export_spectrum",
@@ -172,21 +173,6 @@ class ModeMap:
 
     def apply_basis(self, k: tuple[int, ...], i: int) -> list[tuple[tuple[int, ...], int, complex]]:
         return self.rule(tuple(int(c) for c in k), int(i))
-
-    def apply_dict(self, vec: dict) -> dict:
-        """Apply to a finitely supported vector {(k, i): amplitude}."""
-        out: dict = {}
-        for (k, i), w in vec.items():
-            if w == 0:
-                continue
-            for k2, i2, amp in self.rule(k, i):
-                key = (k2, i2)
-                val = out.get(key, 0j) + w * amp
-                if val == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = val
-        return out
 
     def __add__(self, other: "ModeMap") -> "ModeMap":
         self._check(other)
@@ -465,10 +451,11 @@ def square_expansion_check(A: OneForm, theta: DeformationMatrix, window_K: int =
     return lhs.max_deviation(rhs, window)
 
 
-def assemble_dense(T: ModeMap, window: ModeWindow, basis_limit: int = DEFAULT_BASIS_LIMIT,
-                   require_margin: bool = False) -> np.ndarray:
-    """Compress T to the window basis as a dense complex matrix.
+def assemble_sparse(T: ModeMap, window: ModeWindow, basis_limit: int = DEFAULT_BASIS_LIMIT,
+                    require_margin: bool = False) -> csr_matrix:
+    """Compress T to the window basis as a sparse complex matrix.
 
+    This is the one place a mode map is evaluated over a window basis.
     Columns whose input mode sits within `spread` of the window boundary lose
     amplitude to outside modes; with require_margin=True such windows are
     rejected instead of silently truncated.
@@ -476,18 +463,24 @@ def assemble_dense(T: ModeMap, window: ModeWindow, basis_limit: int = DEFAULT_BA
     if window.basis_size > basis_limit:
         raise WindowError(
             f"window basis size {window.basis_size} exceeds limit {basis_limit}")
-    if require_margin and T.spread > 0:
-        interior = window.K - T.spread
-        if interior < 0:
-            raise WindowError("window margin smaller than operator spread")
-    N = window.basis_size
-    mat = np.zeros((N, N), dtype=complex)
+    if require_margin and window.K < T.spread:
+        raise WindowError("window margin smaller than operator spread")
+    rows, cols, vals = [], [], []
     for k, i in window.basis():
         col = window.index(k, i)
         for k2, i2, amp in T.apply_basis(k, i):
             if window.contains(k2):
-                mat[window.index(k2, i2), col] += amp
-    return mat
+                rows.append(window.index(k2, i2))
+                cols.append(col)
+                vals.append(amp)
+    N = window.basis_size
+    return csr_matrix((np.array(vals, dtype=complex), (rows, cols)), shape=(N, N))
+
+
+def assemble_dense(T: ModeMap, window: ModeWindow, basis_limit: int = DEFAULT_BASIS_LIMIT,
+                   require_margin: bool = False) -> np.ndarray:
+    """Compress T to the window basis as a dense complex matrix (see assemble_sparse)."""
+    return assemble_sparse(T, window, basis_limit, require_margin).toarray()
 
 
 def spectrum(T: ModeMap, window: ModeWindow, basis_limit: int = DEFAULT_BASIS_LIMIT,

@@ -10,8 +10,6 @@ from __future__ import annotations
 import re
 
 __all__ = [
-    "poly_add",
-    "poly_scale",
     "poly_mul",
     "poly_degree",
     "poly_is_homogeneous",
@@ -20,23 +18,6 @@ __all__ = [
 ]
 
 Poly = dict  # {tuple[int, ...]: coefficient}
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for e, c in q.items():
-        v = out.get(e, 0) + c
-        if v == 0:
-            out.pop(e, None)
-        else:
-            out[e] = v
-    return out
-
-
-def poly_scale(p: Poly, s) -> Poly:
-    if s == 0:
-        return {}
-    return {e: c * s for e, c in p.items()}
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:

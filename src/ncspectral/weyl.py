@@ -82,9 +82,6 @@ class DeformationMatrix:
                     total += th[i, j] * minor
         return total
 
-    def scaled(self, factor: float) -> "DeformationMatrix":
-        return DeformationMatrix(self.theta * factor)
-
     def __repr__(self) -> str:
         return f"DeformationMatrix(n={self.n})"
 
@@ -155,9 +152,6 @@ class FourierElement:
 
     def norm_inf(self) -> float:
         return max((abs(v) for v in self._coeffs.values()), default=0.0)
-
-    def norm_l2(self) -> float:
-        return sum(abs(v) ** 2 for v in self._coeffs.values()) ** 0.5
 
     def __len__(self) -> int:
         return len(self._coeffs)

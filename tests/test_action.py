@@ -18,9 +18,16 @@ from ncspectral.action import (
     tau_F_squared,
     twisted_heat_trace,
 )
-from ncspectral.action import _chain_eigenvalues, _collinear_direction
+from ncspectral.action import _block_eigenvalues, _collinear_direction
 from ncspectral.diophantine import golden_ratio, jarnik_construct, power_profile
-from ncspectral.operators import ModeWindow, OneForm, assemble_dense, covariant_dirac
+from ncspectral.operators import (
+    ModeWindow,
+    OneForm,
+    WindowError,
+    assemble_dense,
+    assemble_sparse,
+    covariant_dirac,
+)
 from ncspectral.weyl import DeformationMatrix, FourierElement, multiply, trace
 from ncspectral.zeta import vol_sphere
 
@@ -101,6 +108,23 @@ class TestHeatTrace:
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
             heat_trace(2, 0.0)
+
+    def test_rejects_unknown_method(self):
+        th = theta_block(2)
+        A = OneForm.from_terms(2, [(1, (1, 0), 0.3), (2, (0, 1), 0.2j)])
+        with pytest.raises(ValueError, match="unknown heat-trace method"):
+            heat_trace(2, 0.8, theta=th, A=A, method="bogus")
+
+    def test_chain_rejects_noncollinear_support(self):
+        th = theta_block(2)
+        A = OneForm.from_terms(2, [(1, (1, 0), 0.3), (2, (0, 1), 0.2j)])
+        with pytest.raises(WindowError):
+            heat_trace(2, 0.8, theta=th, A=A, method="chain", window_K=3)
+
+    def test_chain_rejects_zero_one_form(self):
+        with pytest.raises(WindowError):
+            heat_trace(2, 0.8, theta=theta_block(2), A=OneForm.zero(2), method="chain",
+                       window_K=3)
 
 
 class TestTwistedHeatTrace:
@@ -214,11 +238,13 @@ class TestSpectralAction:
 
     def test_chain_matches_dense_window(self):
         th = theta_block(2)
-        A = OneForm.from_terms(2, [(1, (1, 0), 0.4)])
         p = CutoffProfile.gaussian()
-        chain = spectral_action(p, 2.5, 2, theta=th, A=A)
-        dense_val = _dense_reference(p, 2.5, th, A)
-        assert chain.value == pytest.approx(dense_val, rel=1e-12)
+        for z in (0.4, 0.3j):
+            A = OneForm.from_terms(2, [(1, (1, 0), z)])
+            chain = spectral_action(p, 2.5, 2, theta=th, A=A)
+            dense_val = _dense_reference(p, 2.5, th, A)
+            assert chain.method == "chain-window"
+            assert chain.value == pytest.approx(dense_val, rel=1e-12)
 
 
 def _dense_reference(profile, lam, th, A):
@@ -239,12 +265,15 @@ class TestChainDecomposition:
         assert _collinear_direction(B) is None
 
     def test_eigenvalues_match_dense(self):
+        # a purely imaginary coefficient gives purely imaginary hops, which a
+        # pattern taken from real parts would drop
         th = theta_block(2)
-        A = OneForm.from_terms(2, [(1, (0, 1), 0.4 - 0.2j)])
         window = ModeWindow(2, 4, spinor_dim=2)
-        chain = np.sort(_chain_eigenvalues(A, th, window))
-        dense = np.linalg.eigvalsh(assemble_dense(covariant_dirac(A, th), window))
-        assert np.allclose(chain, dense, atol=1e-11)
+        for z in (0.4 - 0.2j, 0.3j):
+            DA = covariant_dirac(OneForm.from_terms(2, [(1, (0, 1), z)]), th)
+            chain = np.sort(_block_eigenvalues(assemble_sparse(DA, window)))
+            dense = np.linalg.eigvalsh(assemble_dense(DA, window))
+            assert np.allclose(chain, dense, atol=1e-11)
 
 
 class TestFitExpansion:
@@ -268,14 +297,6 @@ class TestFitExpansion:
             fit_expansion(p, [6, 7, 8], 2)
         with pytest.raises(ValueError):
             fit_expansion(p, [6, 6.5, 7, 7.5, 8, 8.5], 2)
-
-    def test_threaded_fit_deterministic(self):
-        p = CutoffProfile.gaussian()
-        grid = [6, 7.3, 9, 11, 13.5, 16.4, 20, 24]
-        f1 = fit_expansion(p, grid, 2, threads=1)
-        f4 = fit_expansion(p, grid, 2, threads=4)
-        assert f1.values == f4.values
-        assert f1.coeffs == f4.coeffs
 
 
 class TestNcIntegrals:

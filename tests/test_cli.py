@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -149,3 +150,66 @@ class TestRuns:
         assert code == EXIT_OK
         summary = json.loads((tmp_path / "zeta-residue" / "summary.json").read_text())
         assert summary["config"]["threads"] == 2
+
+
+class TestActionRuns:
+    COLLINEAR = [[1, [1, 0], 0.4, 0.1], [2, [2, 0], 0.0, -0.3]]
+
+    @staticmethod
+    def run_twice(tmp_path, argv, data, sub):
+        """Run a config twice; return (exit codes, results rows, artifacts identical)."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out" / sub
+        codes, artifacts = [], []
+        for _ in range(2):
+            codes.append(run_cli([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]))
+            artifacts.append(((out / "results.csv").read_bytes(),
+                              (out / "summary.json").read_bytes()))
+        rows = list(csv.DictReader(open(out / "results.csv")))
+        return codes, rows, artifacts[0] == artifacts[1]
+
+    def test_heat_chain_window(self, tmp_path, capsys):
+        codes, rows, identical = self.run_twice(
+            tmp_path, ["action", "heat"],
+            {"n": 2, "one_form": self.COLLINEAR, "t_grid": [0.5, 1.0]}, "action-heat")
+        assert codes == [EXIT_OK, EXIT_OK]
+        assert [row["method"] for row in rows] == ["chain-window", "chain-window"]
+        assert identical
+
+    def test_fit_chain_window(self, tmp_path, capsys, monkeypatch):
+        # the fit table has no method column, so record the path of every
+        # action the fit evaluates
+        from ncspectral import action
+
+        paths = []
+        orig = action.spectral_action
+
+        def recording(*args, **kwargs):
+            res = orig(*args, **kwargs)
+            paths.append(res.method)
+            return res
+
+        monkeypatch.setattr(action, "spectral_action", recording)
+        codes, rows, identical = self.run_twice(
+            tmp_path, ["action", "fit"],
+            {"n": 2, "one_form": self.COLLINEAR, "lam_grid": [2.5, 3.5, 5, 7, 10]},
+            "action-fit")
+        assert codes == [EXIT_OK, EXIT_OK]
+        assert paths == ["chain-window"] * 10
+        assert rows[0]["parameter"] == "c2"
+        c2, sigma = float(rows[0]["value"]), float(rows[0]["uncertainty"])
+        assert abs(c2 - 4.0 * math.pi) <= 5.0 * sigma
+        assert identical
+
+    def test_fit_preflight_rejects_grid_before_solving(self, tmp_path, capsys):
+        # the default grid reaches a basis of 20,402 at lam = 7.3 with this
+        # spread-1 non-collinear form; lam = 6 alone would be a minutes-long solve
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2, "one_form": [[1, [1, 0], 0.3, 0.0],
+                                                        [2, [0, 1], 0.2, 0.0]]}))
+        start = time.perf_counter()
+        code = run_cli(["action", "fit", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_PRECONDITION
+        assert time.perf_counter() - start < 1.0
+        assert "20402" in capsys.readouterr().err
