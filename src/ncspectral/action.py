@@ -10,6 +10,9 @@ Perturbed heat traces and spectral actions share one engine, since the heat
 trace at t is the Gaussian action at lam = t^{-1/2}: it diagonalizes the
 window compression of the covariant Dirac operator (by connected blocks when
 the one-form's support is collinear) and adds one outside-window tail bound.
+Unperturbed traces are lattice sums, and every lattice-sum decision (direct
+or Poisson-dual side, box enumeration and its memory guard, the integral-twist
+test) is made in `zeta`; this module only calls it.
 
 The integrals are computed exactly: the diagonal amplitude of the q-th power
 is expanded over Fourier shift paths with its sine factors split into
@@ -35,7 +38,8 @@ from .clifford import build_gamma
 from .operators import ModeWindow, OneForm, WindowError, assemble_sparse, covariant_dirac
 from .polynomials import Poly, poly_mul
 from .weyl import DeformationMatrix, FourierElement, field_strength, multiply, trace
-from .zeta import TwistedSeries, poisson_dual, sphere_integral, theta_sum, vol_sphere
+from .zeta import (TwistedSeries, _lattice_shell_sums, check_lattice_box, gaussian_sum,
+                   is_integral, sphere_integral, vol_sphere)
 
 __all__ = [
     "CutoffProfile",
@@ -59,9 +63,7 @@ __all__ = [
     "tau_F_squared",
 ]
 
-_DUAL_SWITCH_T = 0.35
 _DENSE_LIMIT = 20_000
-_INT_TOL = 1e-9
 
 
 class MomentError(ValueError):
@@ -140,21 +142,7 @@ class HeatSample:
     window_K: int | None = None
 
 
-def _zn_series(n: int) -> TwistedSeries:
-    return TwistedSeries(n, {(0,) * n: 1.0})
-
-
-def _gaussian_lattice_full(n: int, t: float) -> tuple[float, float]:
-    """(sum over all of Z^n of e^{-t |k|^2}, tail proxy), via the cheaper side."""
-    zn = _zn_series(n)
-    if t >= _DUAL_SWITCH_T:
-        val = theta_sum(zn, t).real + 1.0
-    else:
-        val = poisson_dual(zn, t).real + 1.0
-    return val, 1e-16 * abs(val)
-
-
-_HEAT_METHODS = ("auto", "exact", "exact-formula", "chain", "dense-window")
+_HEAT_METHODS = ("auto", "exact-formula", "chain", "dense-window")
 
 
 def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
@@ -164,11 +152,11 @@ def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
     """Trace of e^{-t D_A^2}.
 
     With no perturbation the exact lattice formula 2^m sum_k e^{-t |k|^2}
-    applies (direct or dual side depending on t).  With a perturbation this
-    is the Gaussian spectral action at lam = t^{-1/2} on a mode window; above
-    the dense limit a non-collinear support is estimated stochastically with
-    fixed per-probe seeds instead.  `method` is one of auto, exact,
-    exact-formula, chain or dense-window; chain needs a collinear support.
+    applies (`zeta.gaussian_sum`).  With a perturbation this is the Gaussian
+    spectral action at lam = t^{-1/2} on a mode window; above the dense limit
+    a non-collinear support is estimated stochastically with fixed per-probe
+    seeds instead.  `method` is one of auto, exact-formula, chain or
+    dense-window; chain needs a collinear support.
     """
     if method not in _HEAT_METHODS:
         raise ValueError(f"unknown heat-trace method {method!r}; expected one of {_HEAT_METHODS}")
@@ -176,15 +164,15 @@ def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
         raise ValueError("t must be positive")
     m = n // 2
     if A is None or A.is_zero():
-        if method in ("auto", "exact", "exact-formula"):
-            val, tail = _gaussian_lattice_full(n, t)
-            return HeatSample(t=t, value=(2 ** m) * val, tail_bound=(2 ** m) * tail,
+        if method in ("auto", "exact-formula"):
+            val = gaussian_sum(TwistedSeries(n, {(0,) * n: 1.0}), t).real
+            return HeatSample(t=t, value=(2 ** m) * val, tail_bound=(2 ** m) * 1e-16 * abs(val),
                               method="exact-formula")
         A = OneForm.zero(n)
         theta = theta if theta is not None else DeformationMatrix.zero(n)
     if theta is None:
         raise ValueError("a deformation matrix is required with a perturbation")
-    if method in ("exact", "exact-formula"):
+    if method == "exact-formula":
         raise ValueError("exact-formula method requires A = None")
 
     profile, lam = CutoffProfile.gaussian(), t ** -0.5
@@ -300,8 +288,8 @@ def twisted_heat_trace(a: FourierElement, b: FourierElement, theta: DeformationM
                        t: float) -> HeatSample:
     """Trace of L(a) R(b) e^{-t D^2} = 2^m sum_q a_q b_{-q} S_q(t).
 
-    S_q(t) is the Gaussian lattice sum with twist vector Theta q / 2 pi,
-    evaluated on the dual side for small t where the direct sum is wide.
+    S_q(t) is the full Gaussian lattice sum with twist vector Theta q / 2 pi
+    (`zeta.gaussian_sum`).
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -313,15 +301,8 @@ def twisted_heat_trace(a: FourierElement, b: FourierElement, theta: DeformationM
         bq = b.coeff(tuple(-c for c in q))
         if bq == 0:
             continue
-        if any(q):
-            twist = tuple((theta.theta @ np.array(q)) / (2.0 * math.pi))
-            series = TwistedSeries(n, {(0,) * n: 1.0}, twist)
-        else:
-            series = _zn_series(n)
-        if t >= _DUAL_SWITCH_T:
-            s_q = theta_sum(series, t) + 1.0
-        else:
-            s_q = poisson_dual(series, t) + 1.0
+        twist = tuple((theta.theta @ np.array(q)) / (2.0 * math.pi))
+        s_q = gaussian_sum(TwistedSeries(n, {(0,) * n: 1.0}, twist), t)
         total += aq * bq * s_q
         tail += abs(aq * bq) * 1e-16 * (abs(s_q) + 1.0)
     return HeatSample(t=t, value=(2 ** m) * total, tail_bound=(2 ** m) * tail,
@@ -351,15 +332,13 @@ def correction_scaling(theta_family: Sequence[tuple], t_grid: Sequence[float],
         raise ValueError("need at least 6 grid points")
     out = []
     for label, theta, a, b in theta_family:
-        n = theta.n
-        m = n // 2
         logt, logd = [], []
         for t in t_grid:
             full = twisted_heat_trace(a, b, theta, t).value
-            base, _ = _gaussian_lattice_full(n, t)
-            q0 = (2 ** m) * trace(a) * trace(b) * base
+            plain = heat_trace(theta.n, t).value
+            q0 = trace(a) * trace(b) * plain
             delta = abs(full - q0)
-            if delta > rel_floor * (2 ** m) * abs(base):
+            if delta > rel_floor * abs(plain):
                 logt.append(math.log(t))
                 logd.append(math.log(delta))
         if len(logt) < max(3, len(t_grid) // 2):
@@ -422,15 +401,17 @@ def _profile_lattice_sum(profile: CutoffProfile, lam: float, n: int) -> tuple[fl
     if profile.name == "rational" and 2 * profile.params[0] <= n:
         raise MomentError("rational profile too slowly decaying for this dimension")
     R = _profile_window_radius(profile, lam)
-    if (2 * R + 1) ** n > 4e7:
-        raise MemoryError(f"profile lattice sum needs ({2 * R + 1})^{n} points; "
-                          "reduce the scale or use the gaussian preset")
-    axes = [np.arange(-R, R + 1)] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    norms = np.sqrt(np.sum(grid.astype(float) ** 2, axis=1))
-    vals = np.array([profile.fn(x) for x in norms / lam])
-    edge = np.max(np.abs(grid), axis=1) == R
-    return float(np.sum(vals)), float(np.sum(vals[edge])) * 2.0 + 1e-16 * float(np.sum(vals))
+    check_lattice_box(n, R)  # before the shell table below is allocated
+    w = np.full(n * R * R + 1, np.nan)
+
+    def weight(nsq):  # profile(|k| / lam), evaluated once per occupied shell |k|^2
+        new = np.unique(nsq[np.isnan(w[nsq])])
+        w[new] = [profile.fn(x) for x in np.sqrt(new) / lam]
+        return w[nsq]
+
+    shells, band = _lattice_shell_sums(TwistedSeries(n, {(0,) * n: 1.0}), R, weight)
+    total = profile.at_zero + float(np.sum(shells.real))  # the origin is not a shell
+    return total, 2.0 * band + 1e-16 * total
 
 
 @dataclass(frozen=True)
@@ -451,14 +432,18 @@ def fit_expansion(profile: CutoffProfile, lam_grid: Sequence[float], n: int,
 
     Returns the c_k with uncertainties from the residual; the caller widens
     the grid when the reported conditioning is poor.  Every dense window of
-    the grid is checked against the dense limit before the first eigensolve.
+    the grid is checked against the dense limit, and the largest lattice box
+    of an unperturbed non-Gaussian profile against the lattice guard, before
+    the first sum.
     """
     lams = [float(x) for x in lam_grid]
     if len(lams) < n + 3:
         raise ValueError(f"need at least {n + 3} grid points for dimension {n}")
     if max(lams) < 4.0 * min(lams):
         raise ValueError("grid spread must cover at least a factor of 4")
-    if A is not None and not A.is_zero() and _collinear_direction(A) is None:
+    if (A is None or A.is_zero()) and profile.name != "gaussian":
+        check_lattice_box(n, _profile_window_radius(profile, max(lams)))
+    elif A is not None and not A.is_zero() and _collinear_direction(A) is None:
         for lam in lams:
             _check_dense_limit((2 * _window_K(profile, lam, A) + 1) ** n * 2 ** (n // 2),
                                _DENSE_LIMIT)
@@ -612,8 +597,7 @@ def _path_residue(path, theta: DeformationMatrix, n: int, q: int, gs, tr,
     for bits in range(2 ** q):
         sig = [1 if (bits >> j) & 1 else -1 for j in range(q)]
         w = tuple(sum(s * h[i] for s, h in zip(sig, hs)) for i in range(n))
-        twist = -(theta.theta @ np.array(w)) / (4.0 * math.pi) if any(w) else np.zeros(n)
-        if any(abs(x - round(x)) > _INT_TOL for x in twist):
+        if not is_integral(-(theta.theta @ np.array(w)) / (4.0 * math.pi)):
             continue
         phi = 0.5 * sum(s * theta.bilinear(h, c)
                         for s, h, c in zip(sig, hs, partials))

@@ -125,6 +125,8 @@ class ModeWindow:
             raise ValueError("cutoff K must be >= 0")
         if shape not in ("max", "euclid"):
             raise ValueError("shape must be 'max' or 'euclid'")
+        if spinor_dim is not None and spinor_dim < 1:
+            raise ValueError("spinor_dim must be >= 1")
         self.n = n
         self.K = int(K)
         self.shape = shape
@@ -570,11 +572,9 @@ def assemble_dense(T: ModeMap, window: ModeWindow, basis_limit: int = DEFAULT_BA
 def spectrum(T: ModeMap, window: ModeWindow, basis_limit: int = DEFAULT_BASIS_LIMIT,
              hermiticity_tol: float = 1e-10) -> np.ndarray:
     """Eigenvalues (ascending) of the dense window compression of a hermitian map."""
-    if window.basis_size == 0:
-        return np.zeros(0)
     mat = assemble_dense(T, window, basis_limit=basis_limit)
-    dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(mat)))) if mat.size else 1.0
+    dev = np.max(np.abs(mat - mat.conj().T))
+    scale = max(1.0, float(np.max(np.abs(mat))))
     if dev > hermiticity_tol * scale:
         raise WindowError(f"window compression is not hermitian: deviation {dev:.3e}")
     return np.linalg.eigvalsh(mat)

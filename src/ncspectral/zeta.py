@@ -11,6 +11,10 @@ therefore read off, never estimated by limits.
 Two independent representations of the Gaussian generating sum (direct
 lattice sum vs Hermite-weighted dual sum) provide the identity check that
 validates the whole machinery.
+
+Every lattice-sum decision lives here: `gaussian_sum` holds the direct/dual
+switch, `_hermite_power_coeffs` alone reads the Hermite table, `is_integral`
+is the integral-twist test and `check_lattice_box` the box-enumeration guard.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ __all__ = [
     "PoleEvaluationError",
     "theta_sum",
     "poisson_dual",
+    "gaussian_sum",
+    "is_integral",
+    "check_lattice_box",
     "evaluate",
     "residue",
     "residue_shifted",
@@ -45,7 +52,9 @@ __all__ = [
 MAX_DEGREE = 6
 _LOG_EPS = 39.0  # ~ -ln(1e-17)
 _MAX_POINTS = 4.0e7
+_CHUNK_POINTS = 1 << 20
 _INT_TOL = 1e-9
+_DUAL_SWITCH_T = 0.35  # gaussian_sum: the dual side is the cheaper one below this t
 
 # physicists' Hermite polynomials, ascending coefficients, degrees 0..6
 _HERMITE = [
@@ -98,9 +107,6 @@ class TwistedSeries:
     def pole_location(self) -> float:
         return float(self.n + self.degree)
 
-    def has_integer_twist(self, tol: float = _INT_TOL) -> bool:
-        return all(abs(x - round(x)) <= tol for x in self.twist)
-
     def constant_coefficient(self) -> complex:
         return self.poly.get((0,) * self.n, 0j)
 
@@ -125,6 +131,11 @@ class ShiftedResidue:
     flags: tuple[str, ...] = field(default=())
 
 
+def is_integral(twist) -> bool:
+    """Whether every entry of a twist vector is an integer, up to rounding."""
+    return all(abs(x - round(x)) <= _INT_TOL for x in twist)
+
+
 def vol_sphere(n: int) -> float:
     """Surface measure of the unit sphere in R^n."""
     return 2.0 * math.pi ** (n / 2.0) * float(_rgamma(n / 2.0))
@@ -143,46 +154,48 @@ def _direct_radius(t: float, n: int, p: int, log_eps: float = _LOG_EPS) -> int:
     return max(1, int(math.ceil(r)))
 
 
-def _lattice_shell_sums(series: TwistedSeries, radius: int, weight_fn,
-                        max_points: float = _MAX_POINTS):
+def check_lattice_box(n: int, radius: int) -> None:
+    """Raise MemoryError when the box |k|_inf <= radius in Z^n is too large to enumerate.
+
+    The table of shells |k|^2 <= n radius^2 counts too; it is the larger one
+    only in dimension 1.
+    """
+    side = 2 * radius + 1
+    if max(side ** n, n * radius * radius) > _MAX_POINTS:
+        raise MemoryError(
+            f"lattice enumeration of ({side})^{n} = {side ** n} points in "
+            f"{n * radius * radius + 1} shells exceeds the guard "
+            f"of {_MAX_POINTS:.0e}; reduce the scale, t or the polynomial degree")
+
+
+def _lattice_shell_sums(series: TwistedSeries, radius: int, weight_fn):
     """Accumulate sum_k P(k) e^{2 pi i k.a} w(|k|^2) grouped by integer |k|^2.
 
     Returns (shell_values complex array indexed by |k|^2, boundary_band sum)
     where the boundary band collects |k|_inf in {radius-1, radius} as a tail
-    proxy.  Origin excluded.  Iteration is chunked along the first axis so
-    memory stays bounded.
+    proxy.  Origin excluded.  The box is built and summed in chunks of about
+    _CHUNK_POINTS points along the first axis, so memory stays bounded.
     """
     n = series.n
+    check_lattice_box(n, radius)
     side = 2 * radius + 1
-    if side ** n > max_points:
-        raise MemoryError(
-            f"lattice enumeration of {side ** n:.3g} points exceeds the guard; "
-            "reduce t or the polynomial degree")
-    nsq_max = n * radius * radius
-    shells = np.zeros(nsq_max + 1, dtype=complex)
+    re = np.zeros(n * radius * radius + 1)
+    im = np.zeros_like(re)
     band = 0.0
     axis = np.arange(-radius, radius + 1)
     twist = np.array(series.twist)
     twisted = np.any(twist != 0.0)
-    if n == 1:
-        chunks = [axis.reshape(-1, 1)]
-    else:
-        rest = np.stack(np.meshgrid(*([axis] * (n - 1)), indexing="ij"), axis=-1).reshape(-1, n - 1)
-        chunks = []
-        step = max(1, int(max_points // (4 * rest.shape[0])) or 1)
-        for lo in range(0, side, step):
-            first = axis[lo:lo + step]
-            block = np.concatenate(
-                [np.repeat(first, rest.shape[0]).reshape(-1, 1),
-                 np.tile(rest, (first.size, 1))], axis=1)
-            chunks.append(block)
-    for coords in chunks:
+    # the other n - 1 coordinates in lexicographic order: one empty row when n = 1
+    rest = np.indices((side,) * (n - 1)).reshape(n - 1, side ** (n - 1)).T - radius
+    step = max(1, _CHUNK_POINTS // rest.shape[0])
+    for lo in range(0, side, step):
+        first = axis[lo:lo + step]
+        coords = np.concatenate([np.repeat(first, rest.shape[0]).reshape(-1, 1),
+                                 np.tile(rest, (first.size, 1))], axis=1)
         nsq = np.sum(coords * coords, axis=1)
         mask = nsq > 0
         coords = coords[mask]
         nsq = nsq[mask]
-        if coords.size == 0:
-            continue
         cf = coords.astype(float)
         pv = np.zeros(coords.shape[0], dtype=complex)
         for e, c in series.poly.items():
@@ -193,14 +206,15 @@ def _lattice_shell_sums(series: TwistedSeries, radius: int, weight_fn,
             pv += term
         if twisted:
             pv = pv * np.exp(2j * math.pi * (cf @ twist))
-        w = weight_fn(nsq)
-        vals = pv * w
-        shells += np.bincount(nsq, weights=vals.real, minlength=nsq_max + 1) \
-            + 1j * np.bincount(nsq, weights=vals.imag, minlength=nsq_max + 1)
+        vals = pv * weight_fn(nsq)
+        part = np.bincount(nsq, weights=vals.real)
+        re[:part.size] += part
+        part = np.bincount(nsq, weights=vals.imag)
+        im[:part.size] += part
         edge = np.max(np.abs(coords), axis=1) >= radius - 1
         if np.any(edge):
             band += float(np.abs(np.sum(vals[edge])))
-    return shells, band
+    return re + 1j * im, band
 
 
 def _fsum_complex(values) -> complex:
@@ -233,8 +247,6 @@ def _dual_points(series: TwistedSeries, rho: float) -> np.ndarray:
     a = np.array(series.twist)
     ranges = [np.arange(int(math.ceil(aj - rho)), int(math.floor(aj + rho)) + 1)
               for aj in a]
-    if any(r.size == 0 for r in ranges):
-        return np.zeros((0, series.n), dtype=int)
     grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, series.n)
     b = a[None, :] - grid
     keep = np.sum(b * b, axis=1) <= rho * rho
@@ -257,25 +269,28 @@ def poisson_dual(series: TwistedSeries, t: float) -> complex:
     p = series.degree
     rho = _dual_radius(t, p)
     pts = _dual_points(series, rho)
-    a = np.array(series.twist)
     total = 0j
     if pts.shape[0]:
-        b = a[None, :] - pts
+        b = np.array(series.twist)[None, :] - pts
         gauss = np.exp(-(math.pi ** 2) * np.sum(b * b, axis=1) / t)
         sq = math.sqrt(t)
         pref = (math.pi / t) ** (n / 2.0) * (0.5j / sq) ** p
-        acc = np.zeros(pts.shape[0], dtype=complex)
-        for e, c in series.poly.items():
-            term = np.full(pts.shape[0], complex(c))
-            for j, ej in enumerate(e):
-                if ej:
-                    x = math.pi * b[:, j] / sq
-                    term = term * np.polynomial.polynomial.polyval(x, _HERMITE[ej])
-            acc += term
+        # c_R is homogeneous of degree R in b, so c_R(b) t^{-R/2} = c_R(b / sqrt(t))
+        acc = _hermite_power_coeffs(series, b / sq).sum(axis=0)
         vals = pref * acc * gauss
         order = np.argsort(-gauss)  # largest first, then fsum for stability
         total = _fsum_complex(vals[order])
     return total - series.constant_coefficient()
+
+
+def gaussian_sum(series: TwistedSeries, t: float) -> complex:
+    """Full Gaussian lattice sum sum_{k in Z^n} P(k) e^{2 pi i k.a} e^{-t |k|^2}, k = 0 included.
+
+    The direct box widens as t falls while the dual ball narrows, so the
+    direct side serves t >= 0.35 and the Poisson-dual side smaller t.
+    """
+    side = theta_sum if t >= _DUAL_SWITCH_T else poisson_dual
+    return side(series, t) + series.constant_coefficient()
 
 
 def _pole_coefficient(series: TwistedSeries) -> float:
@@ -286,12 +301,7 @@ def _pole_coefficient(series: TwistedSeries) -> float:
     """
     n = series.n
     p = series.degree
-    kappa = 0j
-    for e, c in series.poly.items():
-        prod = 1.0
-        for ej in e:
-            prod *= _HERMITE[ej][0] if ej % 2 == 0 else 0.0
-        kappa += c * prod
+    kappa = complex(_hermite_power_coeffs(series, np.zeros((1, n)))[0, 0])
     kappa *= math.pi ** (n / 2.0) * (0.5j) ** p
     if abs(kappa.imag) > 1e-12 * max(1.0, abs(kappa.real)):
         # even-degree Hermite zeros keep (i/2)^p Prod H(0) real; odd monomials drop out
@@ -299,24 +309,30 @@ def _pole_coefficient(series: TwistedSeries) -> float:
     return kappa.real
 
 
-def _hermite_power_coeffs(series: TwistedSeries, b: np.ndarray) -> dict[int, complex]:
-    """Coefficients c_R(b) of t^{-R/2} in sum_e c_e prod_j H_{e_j}(pi b_j / sqrt(t))."""
-    out: dict[int, complex] = {}
+def _hermite_power_coeffs(series: TwistedSeries, b: np.ndarray) -> np.ndarray:
+    """Coefficients c_R(b) of t^{-R/2} in sum_e c_e prod_j H_{e_j}(pi b_j / sqrt(t)).
+
+    b holds one point per row, shape (N, n); row R of the (p + 1, N) result
+    is c_R at each point.  A homogeneous numerator makes R = p the top power
+    of every monomial, and rows R of the other parity than p are zero.
+    """
+    N = b.shape[0]
+    out = np.zeros((series.degree + 1, N), dtype=complex)
     for e, c in series.poly.items():
-        partial: dict[int, complex] = {0: complex(c)}
+        acc = np.full((1, N), complex(c))
         for j, ej in enumerate(e):
-            coeffs = _HERMITE[ej]
-            nxt: dict[int, complex] = {}
-            for r_prev, v in partial.items():
-                for r, hc in enumerate(coeffs):
-                    if hc == 0:
-                        continue
-                    w = v * hc * (math.pi * b[j]) ** r
-                    key = r_prev + r
-                    nxt[key] = nxt.get(key, 0j) + w
-            partial = nxt
-        for r, v in partial.items():
-            out[r] = out.get(r, 0j) + v
+            if not ej:
+                continue
+            x = math.pi * b[:, j]
+            x2 = x * x
+            nxt = np.zeros((acc.shape[0] + ej, N), dtype=complex)
+            # H_ej has the parity of ej: only r = ej mod 2, ej mod 2 + 2, ... occur
+            xr = x if ej % 2 else 1.0
+            for r in range(ej % 2, ej + 1, 2):
+                nxt[r:r + acc.shape[0]] += (_HERMITE[ej][r] * xr) * acc
+                xr = xr * x2
+            acc = nxt
+        out += acc
     return out
 
 
@@ -331,7 +347,7 @@ def evaluate(series: TwistedSeries, s: complex, pole_guard: float = 1e-8) -> Con
     n = series.n
     p = series.degree
     pole = series.pole_location
-    integer_twist = series.has_integer_twist()
+    integer_twist = is_integral(series.twist)
     if integer_twist and abs(s - pole) < pole_guard and _pole_coefficient(series) != 0.0:
         raise PoleEvaluationError(
             f"s = {s} is at the pole s = {pole}; use residue() instead")
@@ -355,22 +371,19 @@ def evaluate(series: TwistedSeries, s: complex, pole_guard: float = 1e-8) -> Con
     # dual side: points b = a - m with b != 0
     beta_max = _LOG_EPS + (p + 2.0) * math.log(_LOG_EPS + 4.0)
     rho = math.sqrt(beta_max) / math.pi
-    pts = _dual_points(series, rho)
-    a_vec = np.array(series.twist)
+    b = np.array(series.twist)[None, :] - _dual_points(series, rho)
+    bsq = np.sum(b * b, axis=1)
+    # the center term of an integral twist is handled analytically as the pole
+    keep = bsq > ((10.0 * _INT_TOL) ** 2 if integer_twist else 0.0)
+    bsq = bsq[keep].tolist()
+    coeffs = _hermite_power_coeffs(series, b[keep]).T.tolist()
     pref = math.pi ** (n / 2.0) * (0.5j) ** p
     dual_terms = []
     dual_band = 0.0
-    for m in pts:
-        b = a_vec - m
-        bsq = float(np.dot(b, b))
-        if integer_twist and bsq <= (10.0 * _INT_TOL) ** 2:
-            continue  # center term handled analytically as the pole
-        if bsq == 0.0:
-            continue
-        beta = math.pi ** 2 * bsq
-        coeffs = _hermite_power_coeffs(series, b)
+    for x, row in zip(bsq, coeffs):
+        beta = math.pi ** 2 * x
         local = 0j
-        for r, cr in coeffs.items():
+        for r, cr in enumerate(row):
             if cr == 0:
                 continue
             alpha = (s - n - p - r) / 2.0
@@ -406,7 +419,7 @@ def residue(series: TwistedSeries, s0: complex) -> complex:
     pole = series.pole_location
     if abs(complex(s0) - pole) > 1e-8:
         raise ValueError(f"s0 = {s0} is not the candidate pole s = {pole}")
-    if not series.has_integer_twist():
+    if not is_integral(series.twist):
         return 0j
     kappa = _pole_coefficient(series)
     return complex(kappa * 2.0 * float(_rgamma(pole / 2.0)))
@@ -470,8 +483,8 @@ def zeta_D_residue(n: int) -> float:
     return (2 ** (n // 2)) * residue(zn, n).real
 
 
-def twisted_family_residue(terms, poly: Poly, n: int, certified: bool = True,
-                           int_tol: float = _INT_TOL) -> tuple[complex, tuple[str, ...]]:
+def twisted_family_residue(terms, poly: Poly, n: int,
+                           certified: bool = True) -> tuple[complex, tuple[str, ...]]:
     """Residue at s = n + deg(P) of a finite twisted family sum_l c_l f_{a_l}.
 
     Only terms whose twist vector is integral contribute; each contributes its
@@ -483,7 +496,7 @@ def twisted_family_residue(terms, poly: Poly, n: int, certified: bool = True,
         tw = tuple(float(x) for x in twist)
         if len(tw) != n:
             raise ValueError("twist vector length mismatch")
-        if all(abs(x - round(x)) <= int_tol for x in tw):
+        if is_integral(tw):
             kernel_sum += complex(c)
     flags = () if certified else ("diophantine-uncertified",)
     return kernel_sum * sphere_integral(poly, n), flags

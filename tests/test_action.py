@@ -28,7 +28,7 @@ from ncspectral.operators import (
     assemble_sparse,
     covariant_dirac,
 )
-from ncspectral.weyl import DeformationMatrix, FourierElement, multiply, trace
+from ncspectral.weyl import DeformationMatrix, FourierElement
 from ncspectral.zeta import vol_sphere
 
 from conftest import random_element
@@ -112,8 +112,9 @@ class TestHeatTrace:
     def test_rejects_unknown_method(self):
         th = theta_block(2)
         A = OneForm.from_terms(2, [(1, (1, 0), 0.3), (2, (0, 1), 0.2j)])
-        with pytest.raises(ValueError, match="unknown heat-trace method"):
-            heat_trace(2, 0.8, theta=th, A=A, method="bogus")
+        for method in ("bogus", "exact"):
+            with pytest.raises(ValueError, match="unknown heat-trace method"):
+                heat_trace(2, 0.8, theta=th, A=A, method=method)
 
     def test_chain_rejects_noncollinear_support(self):
         th = theta_block(2)
@@ -133,7 +134,7 @@ class TestTwistedHeatTrace:
         one = FourierElement.unit(2, (0, 0))
         got = twisted_heat_trace(one, one, th, 0.7).value
         want = heat_trace(2, 0.7).value
-        assert abs(got - want) < 1e-10 * abs(want)
+        assert got == want
 
     def test_dense_window_oracle(self):
         # brute-force the trace of L(a) R(b) e^{-t D^2} over a mode box
@@ -221,6 +222,14 @@ class TestSpectralAction:
         res = spectral_action(CutoffProfile.super_gaussian(), lam, 2)
         want = sum(2.0 * math.exp(-((k1 * k1 + k2 * k2) ** 2) / lam ** 4)
                    for k1 in range(-30, 31) for k2 in range(-30, 31))
+        assert res.value == pytest.approx(want, rel=1e-10)
+        # n = 4 weights many points per shell |k|^2
+        lam = 2.0
+        res = spectral_action(CutoffProfile.super_gaussian(), lam, 4)
+        axis = np.arange(-12, 13)
+        box = np.stack(np.meshgrid(*[axis] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+        nsq = np.sum(box * box, axis=1).astype(float)
+        want = 4.0 * float(np.sum(np.exp(-nsq ** 2 / lam ** 4)))
         assert res.value == pytest.approx(want, rel=1e-10)
 
     def test_gauge_invariance_chain_path(self):

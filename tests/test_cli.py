@@ -213,3 +213,15 @@ class TestActionRuns:
         assert code == EXIT_PRECONDITION
         assert time.perf_counter() - start < 1.0
         assert "20402" in capsys.readouterr().err
+
+    def test_fit_preflight_rejects_lattice_box_before_summing(self, tmp_path, capsys):
+        # the r = 3 rational profile needs a box of side 10343 at lam = 24; the
+        # smaller scales of the default grid alone would take most of a minute
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2, "profile": "rational", "profile_params": {"r": 3.0},
+                                   "theta_preset": "zero"}))
+        start = time.perf_counter()
+        code = run_cli(["action", "fit", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_PRECONDITION
+        assert time.perf_counter() - start < 1.0
+        assert "106977649 points" in capsys.readouterr().err

@@ -2,7 +2,6 @@ import math
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

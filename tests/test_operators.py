@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -85,11 +84,9 @@ class TestDirac:
         want = sorted([-r2] * 4 + [-1.0] * 4 + [0.0, 0.0] + [1.0] * 4 + [r2] * 4)
         assert np.allclose(eigs, want, atol=1e-12)
 
-    def test_empty_window(self):
-        window = ModeWindow(2, 0, spinor_dim=2)
-        window.points = []
-        window._pos = {}
-        assert spectrum(dirac(2), window).size == 0
+    def test_window_rejects_empty_spinor(self):
+        with pytest.raises(ValueError, match="spinor_dim"):
+            ModeWindow(2, 0, spinor_dim=0)
 
 
 class TestRepresentations:

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ncspectral"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ncspectral"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -32,6 +33,7 @@ def unused_imports(path: Path) -> list[str]:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
