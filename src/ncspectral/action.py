@@ -16,17 +16,20 @@ test) is made in `zeta`; this module only calls it.
 
 The integrals are computed exactly: the diagonal amplitude of the q-th power
 is expanded over Fourier shift paths with its sine factors split into
-exponentials (one twisted phase per sign choice), each inverse squared norm is
-expanded binomially at large momentum, and every term of homogeneity minus n
-with an integral twist contributes its sphere moment.  Higher expansion orders
-add nothing once the order passes n - q, which is the stabilization the
-order-delta diagnostic reports.  Finitely many modes where an intermediate
-momentum hits the kernel only shift holomorphic parts and cannot move
-residues.
+exponentials (one twisted phase per sign choice).  On each path the spinor
+trace is a product of q linear factors with matrix coefficients, the product
+of inverse squared norms is expanded at large momentum in complete homogeneous
+polynomials, and the terms of homogeneity minus n go to
+`zeta.twisted_family_residue`, which keeps the sign choices with an integral
+twist.  No order past n - q holds a monomial of the degree a residue needs, so
+the expansion is exact and the reported order delta is identically 0.
+Finitely many modes where an intermediate momentum hits the kernel only shift
+holomorphic parts and cannot move residues.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -39,7 +42,7 @@ from .operators import ModeWindow, OneForm, WindowError, assemble_sparse, covari
 from .polynomials import Poly, poly_mul
 from .weyl import DeformationMatrix, FourierElement, field_strength, multiply, trace
 from .zeta import (TwistedSeries, _lattice_shell_sums, check_lattice_box, gaussian_sum,
-                   is_integral, sphere_integral, vol_sphere)
+                   twisted_family_residue, vol_sphere)
 
 __all__ = [
     "CutoffProfile",
@@ -377,7 +380,7 @@ def spectral_action(profile: CutoffProfile, lam: float, n: int,
             hs = heat_trace(n, 1.0 / lam ** 2)
             return ActionValue(lam, float(hs.value), hs.tail_bound, "exact-lattice")
         val, tail = _profile_lattice_sum(profile, lam, n)
-        return ActionValue(lam, (2 ** m) * val, (2 ** m) * tail, "exact-lattice")
+        return ActionValue(lam, val, tail, "exact-lattice")
     if theta is None:
         raise ValueError("a deformation matrix is required with a perturbation")
     window = ModeWindow(n, _window_K(profile, lam, A, window_K), spinor_dim=2 ** m)
@@ -397,7 +400,11 @@ def _profile_window_radius(profile: CutoffProfile, lam: float) -> int:
 
 
 def _profile_lattice_sum(profile: CutoffProfile, lam: float, n: int) -> tuple[float, float]:
-    """sum over Z^n of profile(|k| / lam), with a tail estimate."""
+    """Tr profile(D / lam) = 2^m sum over Z^n of profile(|k| / lam), with a tail bound.
+
+    The bound is the outside-window bound of the radius-R box summed here, plus
+    1e-16 of the sum for rounding.
+    """
     if profile.name == "rational" and 2 * profile.params[0] <= n:
         raise MomentError("rational profile too slowly decaying for this dimension")
     R = _profile_window_radius(profile, lam)
@@ -409,9 +416,10 @@ def _profile_lattice_sum(profile: CutoffProfile, lam: float, n: int) -> tuple[fl
         w[new] = [profile.fn(x) for x in np.sqrt(new) / lam]
         return w[nsq]
 
-    shells, band = _lattice_shell_sums(TwistedSeries(n, {(0,) * n: 1.0}), R, weight)
-    total = profile.at_zero + float(np.sum(shells.real))  # the origin is not a shell
-    return total, 2.0 * band + 1e-16 * total
+    shells, _ = _lattice_shell_sums(TwistedSeries(n, {(0,) * n: 1.0}), R, weight)
+    # the origin is not a shell
+    total = (2 ** (n // 2)) * (profile.at_zero + float(np.sum(shells.real)))
+    return total, _outside_tail(profile, lam, OneForm.zero(n), R) + 1e-16 * total
 
 
 @dataclass(frozen=True)
@@ -482,209 +490,92 @@ def fit_expansion(profile: CutoffProfile, lam_grid: Sequence[float], n: int,
 @dataclass(frozen=True)
 class NcIntegral:
     value: complex
-    order_delta: float
+    order_delta: float  # identically 0: no order past n - q has a monomial of residue degree
     q: int
-    flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class ConstantTerm:
     value: complex
     per_q: dict[int, complex]
-    flags: tuple[str, ...] = ()
 
 
-def _trace_cache_fn(gs):
-    cache: dict[tuple[int, ...], complex] = {}
-
-    def tr(seq: tuple[int, ...]) -> complex:
-        val = cache.get(seq)
-        if val is None:
-            mat = gs.gammas[seq[0]]
-            for idx in seq[1:]:
-                mat = mat @ gs.gammas[idx]
-            val = complex(np.trace(mat))
-            cache[seq] = val
-        return val
-
-    return tr
-
-
-def _linear_shift_poly(n: int, c: tuple[int, ...]) -> Poly:
-    """2 k.c + |c|^2 as a monomial map."""
-    out: Poly = {}
-    csq = sum(x * x for x in c)
-    if csq:
-        out[(0,) * n] = float(csq)
-    for j, cj in enumerate(c):
-        if cj:
-            e = [0] * n
-            e[j] = 1
-            out[tuple(e)] = 2.0 * cj
-    return out
-
-
-def nc_integral_power(A: OneForm, theta: DeformationMatrix, q: int,
-                      expansion_order: int | None = None,
-                      certified: bool = True) -> NcIntegral:
+def nc_integral_power(A: OneForm, theta: DeformationMatrix, q: int) -> NcIntegral:
     """Residue at the origin of the trace of (perturbation x D^{-1})^q |D|^{-s}.
 
-    Exact at any expansion order past n - q; the tadpole case q = 1 vanishes
-    identically because the zero-shift part of the left-minus-right
-    perturbation cancels before any analysis happens.
+    A shift path h_1 + ... + h_q = 0 with partial sums c_j contributes the spinor
+    trace of prod_j gamma^{a_j} ((k + c_j).gamma) over prod_j |k + c_j|^2.  The
+    expansion stops at order n - q, exactly (see the module notes), so
+    `order_delta` is identically 0.  The tadpole q = 1 vanishes identically: no
+    single nonzero shift sums to zero.
     """
     n = A.n
     if not 1 <= q <= n:
         raise ValueError(f"power q must lie in 1..{n}")
-    order = expansion_order if expansion_order is not None else n + 3
-    if order < n + 2:
-        raise ValueError("expansion order must be at least n + 2")
     gs = build_gamma(n)
-    tr = _trace_cache_fn(gs)
-
-    steps = [(ai, h, v) for ai, comp in enumerate(A.components)
-             for h, v in comp.items() if any(h)]
-    flags = () if certified else ("diophantine-uncertified",)
-    if not steps:
-        return NcIntegral(0j, 0.0, q, flags)
-
-    cap_full = max(n - q, 0)
-
-    def residue_at(order_cap: int) -> complex:
-        cap = min(order_cap, cap_full)
-        total = 0j
-        for path in _zero_sum_paths(steps, q, n):
-            total += _path_residue(path, theta, n, q, gs, tr, cap)
-        return total
-
-    val = residue_at(order)
-    if min(order - 1, cap_full) != min(order, cap_full):
-        delta = abs(val - residue_at(order - 1))
-    else:
-        delta = 0.0  # expansion already past the stabilization depth
-    return NcIntegral(value=val, order_delta=delta, q=q, flags=flags)
-
-
-def _zero_sum_paths(steps, q: int, n: int):
-    out: list[tuple] = []
+    gammas = np.array(gs.gammas)
     zero = (0,) * n
-
-    def rec(j, prefix, csum):
-        if j == q:
-            if csum == zero:
-                out.append(tuple(prefix))
-            return
-        for st in steps:
-            rec(j + 1, prefix + [st],
-                tuple(a + b for a, b in zip(csum, st[1])))
-
-    rec(0, [], zero)
-    return out
-
-
-def _path_residue(path, theta: DeformationMatrix, n: int, q: int, gs, tr,
-                  cap: int) -> complex:
-    """Residue contribution of one shift path (alpha_j, h_j, v_j), j = 1..q."""
-    partials = [(0,) * n]
-    for _, h, _ in path[:-1]:
-        partials.append(tuple(a + b for a, b in zip(partials[-1], h)))
-    # sign choices of the sine split whose twist survives the kernel condition
-    coeff0 = 1j ** q
-    for _, _, v in path:
-        coeff0 *= v
-    sigma_weight = 0j
-    hs = [h for _, h, _ in path]
-    for bits in range(2 ** q):
-        sig = [1 if (bits >> j) & 1 else -1 for j in range(q)]
-        w = tuple(sum(s * h[i] for s, h in zip(sig, hs)) for i in range(n))
-        if not is_integral(-(theta.theta @ np.array(w)) / (4.0 * math.pi)):
-            continue
-        phi = 0.5 * sum(s * theta.bilinear(h, c)
-                        for s, h, c in zip(sig, hs, partials))
-        sign = 1
-        for s in sig:
-            sign *= s
-        sigma_weight += sign * complex(math.cos(phi), math.sin(phi))
-    if sigma_weight == 0:
-        return 0j
-
-    # numerator: spinor trace of gamma^{a_q} (s_{q-1}.gamma) ... gamma^{a_1} (s_0.gamma)
-    numer: Poly = {}
-    alphas = [a for a, _, _ in path]
-    for assign in np.ndindex(*(n,) * q):
-        seq = []
-        for j in range(q - 1, -1, -1):
-            seq.extend((alphas[j], int(assign[j])))
-        tval = tr(tuple(seq))
-        if tval == 0:
-            continue
-        mono: Poly = {(0,) * n: tval}
-        for j in range(q):
-            nu = int(assign[j])
-            lin: Poly = {}
-            e = [0] * n
-            e[nu] = 1
-            lin[tuple(e)] = 1.0
-            cshift = partials[j][nu]
-            if cshift:
-                lin[(0,) * n] = float(cshift)
-            mono = poly_mul(mono, lin)
-        for k, v in mono.items():
-            numer[k] = numer.get(k, 0j) + v
-
-    # denominator: product over j of |k + c_j|^{-2}, binomially expanded
-    shift_polys = [_linear_shift_poly(n, c) for c in partials]
-    shift_pows: list[list[Poly]] = []
-    for sp in shift_polys:
-        pows = [{(0,) * n: 1.0}]
-        for _ in range(cap):
-            pows.append(poly_mul(pows[-1], sp) if sp else {})
-        shift_pows.append(pows)
-
+    # per step: gamma^a gamma^nu for every nu, the shift h and the coefficient v
+    steps = [(gs.gammas[ai] @ gammas, h, v) for ai, comp in enumerate(A.components)
+             for h, v in comp.items() if any(h)]
+    signs = list(itertools.product((-1, 1), repeat=q))
+    lift = np.vstack([np.zeros((1, n), dtype=int), np.eye(n, dtype=int)])  # exponents of 1, k_nu
+    linear = list(map(tuple, lift.tolist()))
     total = 0j
-    for nu_vec in np.ndindex(*(cap + 1,) * q):
-        order_used = int(sum(nu_vec))
-        if order_used > cap:
+    for path in itertools.product(steps, repeat=q):
+        hs = [h for _, h, _ in path]
+        if any(map(sum, zip(*hs))):
             continue
-        dpoly: Poly = {(0,) * n: (-1.0) ** order_used}
-        ok = True
-        for j, nu in enumerate(nu_vec):
-            if nu == 0:
-                continue
-            if not shift_polys[j]:
-                ok = False
-                break
-            dpoly = poly_mul(dpoly, shift_pows[j][nu])
-        if not ok:
-            continue
-        denom_power = 2 * q + 2 * order_used
-        want_deg = denom_power - n
-        full = poly_mul(numer, dpoly)
-        pick = {e: c for e, c in full.items() if sum(e) == want_deg}
-        if pick:
-            total += sphere_integral(pick, n)
-    return coeff0 * sigma_weight * total
+        c = np.cumsum([zero, *hs[:-1]], axis=0)  # partial sums c_j = h_1 + ... + h_{j-1}
+
+        # one term per sign choice sigma of the sine split: coefficient (prod sigma) e^{i phi},
+        # twist -Theta w / 4 pi with w = sum_j sigma_j h_j
+        phase = theta.bilinear_batch(np.array(hs), c).tolist()
+        twists = -(np.array(signs) @ np.array(hs) @ theta.theta.T) / (4.0 * math.pi)
+        terms = []
+        for sig, twist in zip(signs, twists):
+            phi = 0.5 * sum(s * b for s, b in zip(sig, phase))
+            terms.append((math.prod(sig) * complex(math.cos(phi), math.sin(phi)), twist))
+
+        # numerator: product of the linear factors gamma^a ((k + c).gamma), one row per
+        # choice of the constant or a k_nu in each factor, with its exponents in `exps`
+        mats = np.eye(gs.spinor_dim)[None]
+        exps = np.zeros((1, n), dtype=int)
+        for (gg, _, _), cj in zip(path, c):
+            factor = np.concatenate([np.tensordot(cj, gg, 1)[None], gg])
+            mats = (factor[:, None] @ mats[None]).reshape(-1, *mats.shape[1:])
+            exps = (lift[:, None] + exps[None]).reshape(-1, n)
+        numer: Poly = {}
+        for e, tr in zip(map(tuple, exps.tolist()), np.trace(mats, axis1=1, axis2=2)):
+            if tr:
+                numer[e] = numer.get(e, 0j) + tr
+
+        # denominator: 1 / prod_j |k + c_j|^2 = sum_r (-1)^r H_r(s) |k|^{-2q-2r}, with
+        # s_j = 2 k.c_j + |c_j|^2 and H_r complete homogeneous, built one factor at a time
+        H: list[Poly] = [{zero: 1.0}] + [{} for _ in range(n - q)]
+        for cj in c.tolist():
+            s = {e: v for e, v in zip(linear, [float(np.dot(cj, cj))] + [2.0 * x for x in cj])
+                 if v}
+            for r in range(1, len(H)):  # H_r += s H_{r-1}, the new H_{r-1}
+                for e, v in poly_mul(s, H[r - 1]).items():
+                    H[r][e] = H[r].get(e, 0.0) + v
+        pick: Poly = {e: (-1) ** r * v for r, h in enumerate(H)
+                      for e, v in poly_mul(numer, h).items() if sum(e) == 2 * q + 2 * r - n}
+
+        coeff = 1j ** q * math.prod(v for _, _, v in path)
+        total += coeff * twisted_family_residue(terms, pick, n)
+    return NcIntegral(value=total, order_delta=0.0, q=q)
 
 
-def constant_term(A: OneForm, theta: DeformationMatrix,
-                  expansion_order: int | None = None,
-                  certified: bool = True) -> ConstantTerm:
+def constant_term(A: OneForm, theta: DeformationMatrix) -> ConstantTerm:
     """Zeta value at the origin of the perturbed operator, from the q-expansion.
 
     Since the unperturbed zeta vanishes at the origin this is the whole
     constant coefficient of the action expansion.
     """
-    n = A.n
-    per_q: dict[int, complex] = {}
-    flags: tuple[str, ...] = ()
-    total = 0j
-    for q in range(1, n + 1):
-        r = nc_integral_power(A, theta, q, expansion_order=expansion_order,
-                              certified=certified)
-        per_q[q] = r.value
-        flags = tuple(set(flags) | set(r.flags))
-        total += ((-1) ** q / q) * r.value
-    return ConstantTerm(value=total, per_q=per_q, flags=flags)
+    per_q = {q: nc_integral_power(A, theta, q).value for q in range(1, A.n + 1)}
+    return ConstantTerm(value=sum((((-1) ** q / q) * v for q, v in per_q.items()), 0j),
+                        per_q=per_q)
 
 
 def tau_F_squared(A: OneForm, theta: DeformationMatrix) -> complex:

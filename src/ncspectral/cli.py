@@ -65,6 +65,18 @@ _SUBCOMMANDS = {
 }
 
 
+# flags accepted before or after the subcommand; each takes a value
+_GLOBAL_FLAGS = {
+    "--config": {"help": "JSON config file"},
+    "--out": {"help": "output directory override"},
+    "--threads": {"type": int, "help": "recorded in summary.json; runs are single-threaded "
+                                       "(env NCSPECTRAL_THREADS)"},
+    "--seed": {"type": int},
+    "--n": {"type": int, "help": "torus dimension override"},
+    "--theta": {"help": "theta preset override"},
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -87,7 +99,6 @@ class RunConfig:
     tolerance: float = 1e-13
     window_K: int | None = None
     kernel_tol: float = 1e-10
-    expansion_order: int | None = None
     seed: int = 0
     threads: int = 1
     out_dir: str = "runs"
@@ -118,7 +129,13 @@ def build_theta(cfg: RunConfig) -> DeformationMatrix:
     if name == "zero":
         return DeformationMatrix.zero(n)
     if name == "matrix":
-        return DeformationMatrix(np.array(params["matrix"], dtype=float))
+        try:
+            theta = DeformationMatrix(np.array(params["matrix"], dtype=float))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"theta matrix: {exc}") from None
+        if theta.n != n:
+            raise ConfigError(f"theta matrix is {theta.n} x {theta.n}, expected {n} x {n}")
+        return theta
     if name == "golden":
         g = float(golden_ratio(50)) - 1.0  # (sqrt 5 - 1)/2
         return DeformationMatrix.standard_block(n, 2.0 * math.pi * g * params.get("scale", 1.0))
@@ -145,13 +162,30 @@ def _build_profile_preset(spec: dict):
 
 
 def build_one_form(cfg: RunConfig) -> OneForm:
-    terms = []
-    for entry in cfg.one_form:
-        axis, k, re_part, im_part = entry
-        terms.append((int(axis), tuple(int(x) for x in k), complex(float(re_part), float(im_part))))
-    if not terms:
-        return OneForm.zero(cfg.n)
-    return OneForm.from_terms(cfg.n, terms)
+    """One-form from [axis, [k...], re, im] entries; no entries give the zero form."""
+    try:
+        terms = [(int(axis), tuple(int(x) for x in k), complex(float(re_part), float(im_part)))
+                 for axis, k, re_part, im_part in cfg.one_form]
+        return OneForm.from_terms(cfg.n, terms) if terms else OneForm.zero(cfg.n)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"one_form: {exc}") from None
+
+
+def _parse_poly_flag(text: str, n: int):
+    try:
+        return parse_poly(text, n)
+    except ValueError as exc:
+        raise ConfigError(f"--P: {exc}") from None
+
+
+def _parse_twist_flag(text: str | None, n: int) -> tuple[float, ...]:
+    try:
+        twist = tuple(float(x) for x in json.loads(text)) if text else (0.0,) * n
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"--twist: {exc}") from None
+    if len(twist) != n:
+        raise ConfigError(f"--twist has {len(twist)} entries, expected {n}")
+    return twist
 
 
 def _fmt(x) -> str:
@@ -200,8 +234,8 @@ def _json_default(obj):
 
 
 def _cmd_zeta_eval(cfg: RunConfig, args) -> int:
-    poly = parse_poly(args.P, cfg.n)
-    twist = tuple(float(x) for x in json.loads(args.twist)) if args.twist else (0.0,) * cfg.n
+    poly = _parse_poly_flag(args.P, cfg.n)
+    twist = _parse_twist_flag(args.twist, cfg.n)
     series = TwistedSeries(cfg.n, poly, twist)
     s = complex(args.s_re, args.s_im)
     try:
@@ -223,7 +257,7 @@ def _cmd_zeta_eval(cfg: RunConfig, args) -> int:
 
 
 def _cmd_zeta_residue(cfg: RunConfig, args) -> int:
-    poly = parse_poly(args.P, cfg.n)
+    poly = _parse_poly_flag(args.P, cfg.n)
     shift = float(args.shift) if args.shift is not None else float(cfg.n + poly_degree(poly))
     res = residue_shifted(cfg.n, poly, shift)
     row = {
@@ -312,7 +346,7 @@ def _cmd_action_constant_term(cfg: RunConfig, args) -> int:
         print("precondition failure: constant term needs a nonzero one-form",
               file=sys.stderr)
         return EXIT_PRECONDITION
-    ct = constant_term(A, theta, expansion_order=cfg.expansion_order)
+    ct = constant_term(A, theta)
     tau_ff = tau_F_squared(A, theta)
     target = -(4.0 * math.pi ** 2 / 3.0) * tau_ff
     rows = [{"parameter": f"integral_q{q}", "value": v.real, "uncertainty": abs(v.imag)}
@@ -326,7 +360,7 @@ def _cmd_action_constant_term(cfg: RunConfig, args) -> int:
         print(f"-(4 pi^2 / 3) tau(F.F) = {target.real:.10g}")
     _write_outputs(Path(cfg.out_dir) / "action-constant-term", rows,
                    {"constant_term": ct.value, "per_q": {str(k): v for k, v in ct.per_q.items()},
-                    "tau_FF": tau_ff, "target_n4": target, "flags": list(ct.flags)}, cfg)
+                    "tau_FF": tau_ff, "target_n4": target}, cfg)
     return EXIT_OK
 
 
@@ -463,15 +497,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # global flags may appear before or after the subcommand; SUPPRESS keeps
     # leaf defaults from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS, help="JSON config file")
-    common.add_argument("--out", default=argparse.SUPPRESS, help="output directory override")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="recorded in summary.json; runs are single-threaded "
-                             "(env NCSPECTRAL_THREADS)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--n", type=int, default=argparse.SUPPRESS,
-                        help="torus dimension override")
-    common.add_argument("--theta", default=argparse.SUPPRESS, help="theta preset override")
+    for flag, kwargs in _GLOBAL_FLAGS.items():
+        common.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
 
     parser = argparse.ArgumentParser(prog="ncspectral", parents=[common],
                                      exit_on_error=False)
@@ -525,8 +552,10 @@ def main(argv: list[str] | None = None) -> int:
               f"groups: {', '.join(_SUBCOMMANDS)}", file=sys.stderr)
         return EXIT_CONFIG
 
-    # validate group/sub before argparse so unknown subcommands exit 64
-    positional = [a for a in argv if not a.startswith("-")]
+    # validate group/sub before argparse so unknown subcommands exit 64; the
+    # value of a global flag placed before the group is not a positional
+    positional = [a for i, a in enumerate(argv) if not a.startswith("-")
+                  and (i == 0 or argv[i - 1] not in _GLOBAL_FLAGS)]
     group = positional[0] if positional else None
     if group not in _SUBCOMMANDS:
         print(f"unknown subcommand {group!r}; groups: {', '.join(_SUBCOMMANDS)}",

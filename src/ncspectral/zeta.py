@@ -483,13 +483,11 @@ def zeta_D_residue(n: int) -> float:
     return (2 ** (n // 2)) * residue(zn, n).real
 
 
-def twisted_family_residue(terms, poly: Poly, n: int,
-                           certified: bool = True) -> tuple[complex, tuple[str, ...]]:
+def twisted_family_residue(terms, poly: Poly, n: int) -> complex:
     """Residue at s = n + deg(P) of a finite twisted family sum_l c_l f_{a_l}.
 
     Only terms whose twist vector is integral contribute; each contributes its
-    coefficient times the sphere moment of P.  A non-certified deformation
-    parameter attaches a warning flag instead of raising.
+    coefficient times the sphere moment of P.
     """
     kernel_sum = 0j
     for c, twist in terms:
@@ -498,5 +496,4 @@ def twisted_family_residue(terms, poly: Poly, n: int,
             raise ValueError("twist vector length mismatch")
         if is_integral(tw):
             kernel_sum += complex(c)
-    flags = () if certified else ("diophantine-uncertified",)
-    return kernel_sum * sphere_integral(poly, n), flags
+    return kernel_sum * sphere_integral(poly, n)

@@ -232,6 +232,20 @@ class TestSpectralAction:
         want = 4.0 * float(np.sum(np.exp(-nsq ** 2 / lam ** 4)))
         assert res.value == pytest.approx(want, rel=1e-10)
 
+    def test_rational_tail_bounds_remainder(self):
+        # reference: the ball |k| <= R summed row by row, plus the power-law rest
+        # 2 pi int_R^inf rho (rho / lam)^-6 d rho = pi lam^6 / (2 R^4)
+        p = CutoffProfile.rational_decay(3.0)
+        R = 1500
+        for lam in (1.0, 2.0):
+            res = spectral_action(p, lam, 2)
+            rows = []
+            for k1 in range(-R, R + 1):
+                k2 = np.arange(-math.isqrt(R * R - k1 * k1), math.isqrt(R * R - k1 * k1) + 1)
+                rows.append(np.sum((1.0 + (k1 * k1 + k2 * k2) / lam ** 2) ** -3.0))
+            want = 2.0 * (math.fsum(rows) + math.pi * lam ** 6 / (2 * R ** 4))
+            assert 0.0 < want - res.value <= res.tail_bound <= 10.0 * (want - res.value)
+
     def test_gauge_invariance_chain_path(self):
         from ncspectral.operators import gauge_transform
 
@@ -342,12 +356,6 @@ class TestNcIntegrals:
         for q in (1, 2, 3, 4):
             assert nc_integral_power(A, th0, q).value == 0j
 
-    def test_uncertified_flag(self):
-        th = theta_block(2)
-        A = OneForm.from_terms(2, [(1, (1, 0), 0.3)])
-        r = nc_integral_power(A, th, 2, certified=False)
-        assert "diophantine-uncertified" in r.flags
-
 
 class TestConstantTerm:
     def test_dimension_two_vanishes(self):
@@ -376,6 +384,28 @@ class TestConstantTerm:
     def test_zero_potential(self):
         th = theta_block(4)
         assert constant_term(OneForm.zero(4), th).value == 0j
+
+    def test_resonant_rational_theta(self, monkeypatch):
+        # at Theta = 2 pi / 2 the sign choices with w = sum sigma_j h_j in 4 Z^n,
+        # w != 0, have an integral twist and contribute beside the w = 0 ones
+        from ncspectral import action
+        from ncspectral.zeta import is_integral
+
+        th = DeformationMatrix.standard_block(4, 2.0 * math.pi * 0.5)
+        A = OneForm.from_terms(4, [(1, (0, 1, 0, 0), 0.4), (2, (1, 0, 0, 0), 0.25)])
+        resonant = []
+        orig = action.twisted_family_residue
+
+        def recording(terms, poly, n):
+            resonant.extend(t for _, t in terms if is_integral(t) and any(t))
+            return orig(terms, poly, n)
+
+        monkeypatch.setattr(action, "twisted_family_residue", recording)
+        ct = constant_term(A, th)
+        target = -(4.0 * math.pi ** 2 / 3.0) * tau_F_squared(A, th)
+        assert len(resonant) == 24
+        assert target.real == pytest.approx(15.923, abs=1e-3)
+        assert abs(ct.value - target) <= 1e-12 * abs(target)
 
     def test_curvature_trace_real_nonpositive(self):
         th = theta_block(4)

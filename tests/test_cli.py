@@ -54,6 +54,25 @@ class TestExitCodes:
         assert run_cli(["zeta", "eval", "--P", "1", "--s-re", "2.0", "--n", "2",
                         "--out", str(tmp_path)]) == EXIT_PRECONDITION
 
+    @pytest.mark.parametrize("argv, config", [
+        (["action", "heat"], {"n": 2, "one_form": [[5, [1, 0], 0.3, 0.0]]}),
+        (["action", "constant-term"], {"n": 2, "one_form": [[5, [1, 0], 0.3, 0.0]]}),
+        (["action", "fit"], {"n": 2, "one_form": [[5, [1, 0], 0.3, 0.0]]}),
+        (["action", "heat"], {"n": 2, "theta_preset": "matrix",
+                              "theta_params": {"matrix": [[0, 1], [1, 0]]}}),
+        (["zeta", "residue", "--n", "2", "--P", "k9"], None),
+        (["zeta", "residue", "--n", "2", "--P", "k1^"], None),
+        (["zeta", "eval", "--n", "2", "--P", "k1", "--twist", "[0.1"], None),
+    ], ids=["axis-heat", "axis-constant-term", "axis-fit", "theta-not-skew", "P-variable",
+            "P-exponent", "twist-json"])
+    def test_malformed_input_is_config_error(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+        assert run_cli([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "malformed config" in err and "Traceback" not in err
+
 
 class TestRunConfig:
     def test_round_trip(self):
@@ -83,6 +102,19 @@ class TestRunConfig:
 
 
 class TestRuns:
+    @pytest.mark.parametrize("argv", [
+        ["zeta", "residue", "--P", "1"],
+        ["op", "check", "--samples", "3"],
+    ], ids=["zeta-residue", "op-check"])
+    def test_global_flags_before_group(self, tmp_path, capsys, argv):
+        # global flags with a value are read the same before and after the group
+        results = []
+        for order in ("before", "after"):
+            flags = ["--n", "2", "--out", str(tmp_path / order)]
+            assert run_cli(flags + argv if order == "before" else argv + flags) == EXIT_OK
+            results.append((tmp_path / order / "-".join(argv[:2]) / "results.csv").read_bytes())
+        assert results[0] == results[1]
+
     def test_residue_row(self, tmp_path, capsys):
         code = run_cli(["zeta", "residue", "--n", "4", "--P", "k1^2*k2^2",
                         "--shift", "6", "--out", str(tmp_path)])
@@ -201,6 +233,28 @@ class TestActionRuns:
         c2, sigma = float(rows[0]["value"]), float(rows[0]["uncertainty"])
         assert abs(c2 - 4.0 * math.pi) <= 5.0 * sigma
         assert identical
+
+    def test_constant_term_matches_curvature(self, tmp_path, capsys):
+        # criterion 8's first one-form under the golden preset
+        codes, rows, identical = self.run_twice(
+            tmp_path, ["action", "constant-term"],
+            {"n": 4, "one_form": [[1, [0, 1, 0, 0], 0.37, 0.0]]}, "action-constant-term")
+        assert codes == [EXIT_OK, EXIT_OK]
+        value = {row["parameter"]: float(row["value"]) for row in rows}
+        target = value["gauge_curvature_target"]
+        assert abs(value["constant_term"] - target) <= 1e-2 * abs(target)
+        assert identical
+
+    def test_correction_ordering(self, tmp_path, capsys):
+        code = run_cli(["action", "correction", "--n", "2", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        rep = {row["theta"]: row for row in
+               csv.DictReader(open(tmp_path / "action-correction" / "results.csv"))}
+        rational, jarnik = float(rep["rational"]["slope"]), float(rep["jarnik"]["slope"])
+        assert abs(rational + 1.0) <= 0.1
+        assert rep["golden"]["flag"] == "exponentially-small"
+        assert rep["jarnik"]["flag"] == "ok"
+        assert rational + 0.05 < jarnik < -0.05
 
     def test_fit_preflight_rejects_grid_before_solving(self, tmp_path, capsys):
         # the default grid reaches a basis of 20,402 at lam = 7.3 with this

@@ -37,3 +37,36 @@ def unused_imports(path: Path) -> list[str]:
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def private_definitions(path: Path) -> list[str]:
+    """Module-level private functions, classes and constants of a module."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names.extend(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def referenced_names(paths) -> set[str]:
+    """Names read, attributes accessed and names imported anywhere in the modules."""
+    used: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_private_names_referenced(path):
+    used = referenced_names(SRC.glob("*.py"))
+    assert [name for name in private_definitions(path) if name not in used] == []

@@ -357,21 +357,15 @@ class TestZetaD:
 
 class TestTwistedFamilyResidue:
     def test_single_integral_twist(self):
-        val, flags = twisted_family_residue([(1.0, (0.0, 0.0))], {(0, 0): 1.0}, 2)
+        val = twisted_family_residue([(1.0, (0.0, 0.0))], {(0, 0): 1.0}, 2)
         assert val.real == pytest.approx(2 * math.pi, rel=1e-13)
-        assert flags == ()
 
     def test_non_integral_twist_drops(self):
-        val, _ = twisted_family_residue([(1.0, (0.618, 0.0))], {(0, 0): 1.0}, 2)
+        val = twisted_family_residue([(1.0, (0.618, 0.0))], {(0, 0): 1.0}, 2)
         assert val == 0j
 
     def test_linearity(self):
         terms = [(0.7, (0.0, 0.0)), (2.0, (0.618, 0.381)), (-0.2, (1.0, -2.0))]
-        val, _ = twisted_family_residue(terms, {(2, 0): 1.0}, 2)
+        val = twisted_family_residue(terms, {(2, 0): 1.0}, 2)
         want = (0.7 - 0.2) * sphere_integral({(2, 0): 1.0}, 2)
         assert abs(val - want) < 1e-13
-
-    def test_uncertified_flag(self):
-        _, flags = twisted_family_residue([(1.0, (0.0, 0.0))], {(0, 0): 1.0}, 2,
-                                          certified=False)
-        assert "diophantine-uncertified" in flags
