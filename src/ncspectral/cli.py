@@ -1,12 +1,14 @@
 """Command-line front end: every experiment as a reproducible run.
 
 Subcommands: zeta {eval,residue}, dio {classify,construct},
-action {fit,constant-term,heat,correction}, op {check}.  Each run resolves a
-config (JSON file plus flag overrides), writes results.csv and summary.json
-into the output directory, and exits 0 on success, 2 on precondition failure,
-3 on tolerance failure, 64 on an unknown subcommand, 65 on a malformed
-config.  Identical config and seed give byte-identical CSV output; floats are
-printed with 17 significant digits.
+action {fit,constant-term,heat,correction}, op {check}; `_COMMANDS` is the
+one table of them.  Each run resolves a config (JSON file plus flag
+overrides, validated together), writes results.csv and summary.json into
+<out>/<group>-<sub>, and exits 0 on success, 2 when a precondition fails
+during the computation, 3 on tolerance failure, 64 on an unknown subcommand
+and 65 on a malformed input (flag, config key or value).  Identical config
+and seed give byte-identical CSV output; floats are printed with 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +35,7 @@ from .action import (
     heat_trace,
     tau_F_squared,
 )
+from .clifford import build_gamma
 from .diophantine import (
     classify_matrix,
     exp_profile,
@@ -41,7 +44,8 @@ from .diophantine import (
     power_log_profile,
     power_profile,
 )
-from .operators import OneForm, WindowError, pure_gauge_check, square_expansion_check
+from .operators import (ModeWindow, OneForm, WindowError, conjugate_by_Vu, covariant_dirac,
+                        gauge_transform, pure_gauge_check, square_expansion_check)
 from .polynomials import format_poly, parse_poly, poly_degree
 from .weyl import DeformationMatrix, FourierElement
 from .zeta import (
@@ -49,6 +53,7 @@ from .zeta import (
     TwistedSeries,
     evaluate,
     residue_shifted,
+    vol_sphere,
 )
 
 EXIT_OK = 0
@@ -57,23 +62,14 @@ EXIT_TOLERANCE = 3
 EXIT_UNKNOWN = 64
 EXIT_CONFIG = 65
 
-_SUBCOMMANDS = {
-    "zeta": ["eval", "residue"],
-    "dio": ["classify", "construct"],
-    "action": ["fit", "constant-term", "heat", "correction"],
-    "op": ["check"],
-}
-
-
-# flags accepted before or after the subcommand; each takes a value
+# global flags, accepted before or after the subcommand: flag -> (config key
+# it sets, value type); --config names the JSON file the other keys come from
 _GLOBAL_FLAGS = {
-    "--config": {"help": "JSON config file"},
-    "--out": {"help": "output directory override"},
-    "--threads": {"type": int, "help": "recorded in summary.json; runs are single-threaded "
-                                       "(env NCSPECTRAL_THREADS)"},
-    "--seed": {"type": int},
-    "--n": {"type": int, "help": "torus dimension override"},
-    "--theta": {"help": "theta preset override"},
+    "--config": (None, str),
+    "--out": ("out_dir", str),
+    "--seed": ("seed", int),
+    "--n": ("n", int),
+    "--theta": ("theta_preset", str),
 }
 
 
@@ -98,9 +94,7 @@ class RunConfig:
     c_bound: float = 0.1
     tolerance: float = 1e-13
     window_K: int | None = None
-    kernel_tol: float = 1e-10
     seed: int = 0
-    threads: int = 1
     out_dir: str = "runs"
 
     def to_dict(self) -> dict:
@@ -108,56 +102,77 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        defaults = vars(cls())
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            cfg = cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        for key, value in data.items():
+            if not _conforms(value, defaults[key]):
+                raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
+        cfg = cls(**data)
         if cfg.n < 1:
             raise ConfigError("n must be >= 1")
         return cfg
 
 
+def _conforms(value, default) -> bool:
+    """Whether a config value has the type of its field's default.
+
+    An int stands for a float, list entries follow the default's first
+    entry, and a field that defaults to None (window_K) takes None or an int.
+    """
+    if default is None:
+        return value is None or _conforms(value, 0)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, list) and default:
+        return isinstance(value, list) and all(_conforms(v, default[0]) for v in value)
+    return type(value) is type(default)
+
+
 def build_theta(cfg: RunConfig) -> DeformationMatrix:
     """Deformation matrix from a preset name and parameters."""
-    name = cfg.theta_preset
-    params = cfg.theta_params
-    n = cfg.n
-    if name == "zero":
-        return DeformationMatrix.zero(n)
-    if name == "matrix":
-        try:
+    name, params, n = cfg.theta_preset, cfg.theta_params, cfg.n
+    try:
+        if name == "zero":
+            theta = DeformationMatrix.zero(n)
+        elif name == "matrix":
             theta = DeformationMatrix(np.array(params["matrix"], dtype=float))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"theta matrix: {exc}") from None
-        if theta.n != n:
-            raise ConfigError(f"theta matrix is {theta.n} x {theta.n}, expected {n} x {n}")
-        return theta
-    if name == "golden":
-        g = float(golden_ratio(50)) - 1.0  # (sqrt 5 - 1)/2
-        return DeformationMatrix.standard_block(n, 2.0 * math.pi * g * params.get("scale", 1.0))
-    if name == "rational":
-        p = int(params.get("p", 1))
-        q = int(params.get("q", 2))
-        return DeformationMatrix.standard_block(n, 2.0 * math.pi * p / q)
-    if name == "jarnik":
-        prof = _build_profile_preset(params.get("f", {"kind": "power", "alpha": 4}))
-        res = jarnik_construct(prof, depth=int(params.get("depth", 5)))
-        return DeformationMatrix.standard_block(n, 2.0 * math.pi * res.value)
-    raise ConfigError(f"unknown theta preset {name!r}")
+        elif name == "golden":
+            g = float(golden_ratio(50)) - 1.0  # (sqrt 5 - 1)/2
+            theta = DeformationMatrix.standard_block(
+                n, 2.0 * math.pi * g * params.get("scale", 1.0))
+        elif name == "rational":
+            p = int(params.get("p", 1))
+            q = int(params.get("q", 2))
+            theta = DeformationMatrix.standard_block(n, 2.0 * math.pi * p / q)
+        elif name == "jarnik":
+            prof = _approximation_profile(params.get("f", {"kind": "power", "alpha": 4}))
+            res = jarnik_construct(prof, depth=int(params.get("depth", 5)))
+            theta = DeformationMatrix.standard_block(n, 2.0 * math.pi * res.value)
+        else:
+            raise ValueError("unknown preset; expected zero, matrix, golden, rational or jarnik")
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"theta {name}: {exc}") from None
+    if theta.n != n:
+        raise ConfigError(f"theta matrix is {theta.n} x {theta.n}, expected {n} x {n}")
+    return theta
 
 
-def _build_profile_preset(spec: dict):
-    kind = spec.get("kind", "power")
-    if kind == "power":
-        return power_profile(float(spec.get("alpha", 3)))
-    if kind == "exp":
-        return exp_profile()
-    if kind == "power-log":
-        return power_log_profile(float(spec.get("beta", 1.0)))
+def _approximation_profile(spec):
+    """Approximation profile from a dict or JSON text such as {"kind": "power", "alpha": 3}."""
+    try:
+        if isinstance(spec, str):
+            spec = json.loads(spec)
+        kind = spec.get("kind", "power")
+        if kind == "power":
+            return power_profile(float(spec.get("alpha", 3)))
+        if kind == "exp":
+            return exp_profile()
+        if kind == "power-log":
+            return power_log_profile(float(spec.get("beta", 1.0)))
+    except (AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"approximation profile: {exc}") from None
     raise ConfigError(f"unknown approximation profile {kind!r}")
 
 
@@ -171,21 +186,22 @@ def build_one_form(cfg: RunConfig) -> OneForm:
         raise ConfigError(f"one_form: {exc}") from None
 
 
-def _parse_poly_flag(text: str, n: int):
+def build_profile(cfg: RunConfig) -> CutoffProfile:
+    """Cutoff profile from its preset name and parameters."""
     try:
-        return parse_poly(text, n)
-    except ValueError as exc:
-        raise ConfigError(f"--P: {exc}") from None
+        return CutoffProfile.preset(cfg.profile, **cfg.profile_params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"profile: {exc}") from None
 
 
-def _parse_twist_flag(text: str | None, n: int) -> tuple[float, ...]:
+def _parse_series(n: int, P: str, twist: str | None = None):
+    """(polynomial, series) from the --P text and the --twist JSON list."""
     try:
-        twist = tuple(float(x) for x in json.loads(text)) if text else (0.0,) * n
+        poly = parse_poly(P, n)
+        a = tuple(float(x) for x in json.loads(twist)) if twist else None
+        return poly, TwistedSeries(n, poly, a)
     except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise ConfigError(f"--twist: {exc}") from None
-    if len(twist) != n:
-        raise ConfigError(f"--twist has {len(twist)} entries, expected {n}")
-    return twist
+        raise ConfigError(f"--P/--twist: {exc}") from None
 
 
 def _fmt(x) -> str:
@@ -196,23 +212,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _run_dir(cfg: RunConfig, args) -> Path:
+    return Path(cfg.out_dir) / f"{args.group}-{args.sub}"
+
+
 def _write_outputs(out_dir: Path, rows: list[dict], summary: dict, cfg: RunConfig) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "results.csv"
-    if rows:
-        fields = list(rows[0].keys())
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+    with open(out_dir / "results.csv", "w", newline="") as fh:
+        if rows:  # no rows give an empty file
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _fmt(v) for k, v in row.items()})
-    else:
-        csv_path.write_text("")
-    summary_full = {
-        "artifact_version": __version__,
-        "config": cfg.to_dict(),
-        **summary,
-    }
+            writer.writerows({k: _fmt(v) for k, v in row.items()} for row in rows)
+    summary_full = {"artifact_version": __version__, "config": cfg.to_dict(), **summary}
     (out_dir / "summary.json").write_text(
         json.dumps(summary_full, indent=2, sort_keys=True, default=_json_default) + "\n")
 
@@ -222,42 +233,32 @@ def _json_default(obj):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each returns (rows, summary, exit code) and
+# raises ConfigError on malformed input, ValueError on a failed precondition
+
+_Outcome = tuple[list[dict], dict, int]
 
 
-def _cmd_zeta_eval(cfg: RunConfig, args) -> int:
-    poly = _parse_poly_flag(args.P, cfg.n)
-    twist = _parse_twist_flag(args.twist, cfg.n)
-    series = TwistedSeries(cfg.n, poly, twist)
+def _cmd_zeta_eval(cfg: RunConfig, args) -> _Outcome:
+    poly, series = _parse_series(cfg.n, args.P, args.twist)
     s = complex(args.s_re, args.s_im)
-    try:
-        res = evaluate(series, s)
-    except PoleEvaluationError as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    res = evaluate(series, s)
     row = {
-        "n": cfg.n, "P": format_poly(poly), "a": json.dumps(list(twist)),
+        "n": cfg.n, "P": format_poly(poly), "a": json.dumps(list(series.twist)),
         "s_re": s.real, "s_im": s.imag,
         "value_re": res.value.real, "value_im": res.value.imag,
         "est_error": res.est_error,
     }
     print(f"f_a({s}) = {res.value} (est error {res.est_error:.2e})")
-    _write_outputs(Path(cfg.out_dir) / "zeta-eval", [row],
-                   {"value": res.value, "est_error": res.est_error, "method": res.method},
-                   cfg)
-    return EXIT_OK
+    return [row], {"value": res.value, "est_error": res.est_error, "method": res.method}, EXIT_OK
 
 
-def _cmd_zeta_residue(cfg: RunConfig, args) -> int:
-    poly = _parse_poly_flag(args.P, cfg.n)
+def _cmd_zeta_residue(cfg: RunConfig, args) -> _Outcome:
+    poly, _ = _parse_series(cfg.n, args.P)
     shift = float(args.shift) if args.shift is not None else float(cfg.n + poly_degree(poly))
     res = residue_shifted(cfg.n, poly, shift)
     row = {
@@ -268,35 +269,24 @@ def _cmd_zeta_residue(cfg: RunConfig, args) -> int:
     }
     loc = "" if res.pole_at_zero else f" (pole at s = {res.pole:g})"
     print(f"Res sum P(k)|k|^-(s+{shift:g}) = {res.value.real:.12g}{loc}")
-    _write_outputs(Path(cfg.out_dir) / "zeta-residue", [row],
-                   {"residue": res.value, "pole_s": res.pole, "flags": list(res.flags)}, cfg)
-    return EXIT_OK
+    return [row], {"residue": res.value, "pole_s": res.pole, "flags": list(res.flags)}, EXIT_OK
 
 
-def _cmd_dio_classify(cfg: RunConfig, args) -> int:
+def _cmd_dio_classify(cfg: RunConfig, args) -> _Outcome:
     theta = build_theta(cfg)
     rep = classify_matrix(theta, cfg.delta, cfg.c_bound, cfg.qmax,
                           u_bound=args.u_bound)
-    rows = []
-    if rep.report is not None:
-        for q, mm, dist, bound in rep.report.witnesses:
-            rows.append({"q": json.dumps(list(q)), "m": mm, "dist": dist, "bound": bound})
+    witnesses = rep.report.witnesses if rep.report is not None else ()
+    rows = [{"q": json.dumps(list(q)), "m": mm, "dist": dist, "bound": bound}
+            for q, mm, dist, bound in witnesses]
     print(f"verdict: {rep.verdict}" + (f" with u = {rep.u}" if rep.u else ""))
-    _write_outputs(Path(cfg.out_dir) / "dio-classify", rows,
-                   {"verdict": rep.verdict, "u": list(rep.u) if rep.u else None,
-                    "attempts": rep.attempts,
-                    "witnesses": [list(w) for w in (rep.report.witnesses if rep.report else ())]},
-                   cfg)
-    return EXIT_OK
+    return rows, {"verdict": rep.verdict, "u": list(rep.u) if rep.u else None,
+                  "attempts": rep.attempts, "witnesses": [list(w) for w in witnesses]}, EXIT_OK
 
 
-def _cmd_dio_construct(cfg: RunConfig, args) -> int:
-    prof = _build_profile_preset(json.loads(args.f) if args.f else {"kind": "power", "alpha": 3})
-    try:
-        res = jarnik_construct(prof, depth=args.depth)
-    except ValueError as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+def _cmd_dio_construct(cfg: RunConfig, args) -> _Outcome:
+    prof = _approximation_profile(args.f or {"kind": "power", "alpha": 3})
+    res = jarnik_construct(prof, depth=args.depth)
     rows = [{
         "depth": c.depth, "q": c.q,
         "gap_bound": float(c.gap_bound), "target": float(c.target), "ok": c.ok,
@@ -304,22 +294,15 @@ def _cmd_dio_construct(cfg: RunConfig, args) -> int:
     all_ok = all(c.ok for c in res.certificates)
     print(f"constructed value ~ {res.value!r}, certificates "
           f"{'all valid' if all_ok else 'FAILED'} to depth {len(res.certificates)}")
-    _write_outputs(Path(cfg.out_dir) / "dio-construct", rows,
-                   {"value": res.value, "quotients": res.cf.quotients[:12],
-                    "certificates_ok": all_ok}, cfg)
-    return EXIT_OK if all_ok else EXIT_TOLERANCE
+    return rows, {"value": res.value, "quotients": res.cf.quotients[:12],
+                  "certificates_ok": all_ok}, EXIT_OK if all_ok else EXIT_TOLERANCE
 
 
-def _cmd_action_fit(cfg: RunConfig, args) -> int:
+def _cmd_action_fit(cfg: RunConfig, args) -> _Outcome:
     theta = build_theta(cfg)
     A = build_one_form(cfg)
-    profile = CutoffProfile.preset(cfg.profile, **cfg.profile_params)
-    try:
-        fit = fit_expansion(profile, cfg.lam_grid, cfg.n, theta=theta,
-                            A=None if A.is_zero() else A)
-    except (MomentError, WindowError, ValueError) as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    fit = fit_expansion(build_profile(cfg), cfg.lam_grid, cfg.n, theta=theta,
+                        A=None if A.is_zero() else A)
     rows = [{"parameter": f"c{k}", "value": fit.coeffs[k], "uncertainty": fit.sigmas[k]}
             for k in sorted(fit.coeffs, reverse=True)]
     rows.append({"parameter": "guard_1_over_lam", "value": fit.guard_coeff, "uncertainty": 0.0})
@@ -327,25 +310,19 @@ def _cmd_action_fit(cfg: RunConfig, args) -> int:
     for k in sorted(fit.coeffs, reverse=True):
         print(f"c_{k} = {fit.coeffs[k]:.10g} +- {fit.sigmas[k]:.2g}")
     print(f"fit residual {fit.residual:.3e}, conditioning {fit.cond:.3e}")
-    from .zeta import vol_sphere
     leading_ref = (2 ** (cfg.n // 2)) * vol_sphere(cfg.n)
-    _write_outputs(Path(cfg.out_dir) / "action-fit", rows,
-                   {"coeffs": {str(k): v for k, v in fit.coeffs.items()},
-                    "sigmas": {str(k): v for k, v in fit.sigmas.items()},
-                    "residual": fit.residual, "cond": fit.cond,
-                    "leading_reference": leading_ref,
-                    "leading_rel_err": abs(fit.coeffs[cfg.n] - leading_ref) / leading_ref},
-                   cfg)
-    return EXIT_OK
+    return rows, {"coeffs": {str(k): v for k, v in fit.coeffs.items()},
+                  "sigmas": {str(k): v for k, v in fit.sigmas.items()},
+                  "residual": fit.residual, "cond": fit.cond,
+                  "leading_reference": leading_ref,
+                  "leading_rel_err": abs(fit.coeffs[cfg.n] - leading_ref) / leading_ref}, EXIT_OK
 
 
-def _cmd_action_constant_term(cfg: RunConfig, args) -> int:
+def _cmd_action_constant_term(cfg: RunConfig, args) -> _Outcome:
     theta = build_theta(cfg)
     A = build_one_form(cfg)
     if A.is_zero():
-        print("precondition failure: constant term needs a nonzero one-form",
-              file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise ValueError("constant term needs a nonzero one-form")
     ct = constant_term(A, theta)
     tau_ff = tau_F_squared(A, theta)
     target = -(4.0 * math.pi ** 2 / 3.0) * tau_ff
@@ -358,13 +335,11 @@ def _cmd_action_constant_term(cfg: RunConfig, args) -> int:
     print(f"constant term = {ct.value.real:.10g}")
     if cfg.n == 4:
         print(f"-(4 pi^2 / 3) tau(F.F) = {target.real:.10g}")
-    _write_outputs(Path(cfg.out_dir) / "action-constant-term", rows,
-                   {"constant_term": ct.value, "per_q": {str(k): v for k, v in ct.per_q.items()},
-                    "tau_FF": tau_ff, "target_n4": target}, cfg)
-    return EXIT_OK
+    return rows, {"constant_term": ct.value, "per_q": {str(k): v for k, v in ct.per_q.items()},
+                  "tau_FF": tau_ff, "target_n4": target}, EXIT_OK
 
 
-def _cmd_action_heat(cfg: RunConfig, args) -> int:
+def _cmd_action_heat(cfg: RunConfig, args) -> _Outcome:
     theta = build_theta(cfg)
     A = build_one_form(cfg)
     rows = []
@@ -376,28 +351,18 @@ def _cmd_action_heat(cfg: RunConfig, args) -> int:
                      "method": hs.method})
     print(f"heat trace sampled on {len(rows)} t values "
           f"(t in [{min(cfg.t_grid):g}, {max(cfg.t_grid):g}])")
-    _write_outputs(Path(cfg.out_dir) / "action-heat", rows,
-                   {"samples": len(rows)}, cfg)
-    return EXIT_OK
+    return rows, {"samples": len(rows)}, EXIT_OK
 
 
-def _cmd_action_correction(cfg: RunConfig, args) -> int:
-    from .diophantine import golden_ratio as _gr
-
+def _cmd_action_correction(cfg: RunConfig, args) -> _Outcome:
     n = cfg.n
     if n != 2:
-        print("precondition failure: correction scan is a dimension-2 experiment",
-              file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise ValueError("correction scan is a dimension-2 experiment")
     support = [(1, 0), (2, 0), (11, 0)]
     a = FourierElement(n, {tuple(k): abs(k[0]) ** -1.5 for k in support})
     b = FourierElement(n, {tuple(-x for x in k): abs(k[0]) ** -1.5 for k in support})
-    golden = DeformationMatrix.standard_block(n, 2 * math.pi * (float(_gr(50)) - 1.0))
-    rational = DeformationMatrix.standard_block(n, 2 * math.pi * 0.5)
-    jarnik = build_theta(RunConfig(n=2, theta_preset="jarnik",
-                                   theta_params={"f": {"kind": "power", "alpha": 4},
-                                                 "depth": 5}))
-    family = [("rational", rational, a, b), ("golden", golden, a, b), ("jarnik", jarnik, a, b)]
+    family = [(label, build_theta(RunConfig(n=n, theta_preset=label)), a, b)
+              for label in ("rational", "golden", "jarnik")]
     reports = correction_scaling(family, cfg.t_grid)
     rows = [{"theta": r.label, "slope": r.slope if r.slope is not None else float("nan"),
              "stderr": r.stderr if r.stderr is not None else float("nan"),
@@ -405,48 +370,32 @@ def _cmd_action_correction(cfg: RunConfig, args) -> int:
     for r in reports:
         desc = f"slope {r.slope:.3f}" if r.slope is not None else "exponentially small"
         print(f"{r.label}: {desc} ({r.points_used} points)")
-    _write_outputs(Path(cfg.out_dir) / "action-correction", rows,
-                   {"reports": [dataclasses.asdict(r) for r in reports]}, cfg)
-    return EXIT_OK
+    return rows, {"reports": [dataclasses.asdict(r) for r in reports]}, EXIT_OK
 
 
-def _cmd_op_check(cfg: RunConfig, args) -> int:
-    from .clifford import build_gamma
-    from .operators import conjugate_by_Vu, covariant_dirac, gauge_transform
-    from .operators import ModeWindow as _MW
-
+def _cmd_op_check(cfg: RunConfig, args) -> _Outcome:
     n = cfg.n
     theta = build_theta(cfg)
     tol = cfg.tolerance
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    worst_overall = 0.0
 
     if args.dump_gammas:
         gs = build_gamma(n)
-        out_dir = Path(cfg.out_dir) / "op-check"
+        out_dir = _run_dir(cfg, args)
         out_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "n": n,
-            "gammas": [[[ [z.real, z.imag] for z in row] for row in g] for g in gs.gammas],
-            "epsilon": gs.epsilon,
-            "c0": [[[z.real, z.imag] for z in row] for row in gs.c0],
-        }
+
+        def pairs(m):  # a complex matrix as [re, im] entries
+            return [[[z.real, z.imag] for z in row] for row in m]
+
+        payload = {"n": n, "gammas": [pairs(g) for g in gs.gammas], "epsilon": gs.epsilon,
+                   "c0": pairs(gs.c0)}
         (out_dir / "gammas.json").write_text(json.dumps(payload) + "\n")
 
-    def record(name: str, dev: float):
-        nonlocal worst_overall
-        worst_overall = max(worst_overall, dev)
-        rows.append({"check": name, "deviation": dev, "tolerance": tol,
-                     "ok": dev <= tol})
+    def record(name: str, deviations) -> None:
+        dev = functools.reduce(max, deviations, 0.0)
+        rows.append({"check": name, "deviation": dev, "tolerance": tol, "ok": dev <= tol})
         print(f"{'ok ' if dev <= tol else 'FAIL'} {name}: {dev:.3e}")
-
-    # pure-gauge identity on a box of mode labels
-    worst = 0.0
-    for k in np.ndindex(*(7,) * n):
-        kk = tuple(int(x) - 3 for x in k)
-        worst = max(worst, pure_gauge_check(kk, n, theta, window_K=2))
-    record("pure-gauge |k|<=3", worst)
 
     def random_one_form() -> OneForm:
         terms = []
@@ -459,165 +408,133 @@ def _cmd_op_check(cfg: RunConfig, args) -> int:
             terms.append((axis, k, z))
         return OneForm.from_terms(n, terms)
 
-    # covariance: conjugating the flat operator by a basis gauge unitary
-    D0 = covariant_dirac(OneForm.zero(n), theta)
-    window = _MW(n, 2, spinor_dim=2 ** (n // 2))
-    worst = 0.0
-    for k in [(1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,), (1,) * n]:
-        u = FourierElement.unit(n, k)
-        worst = max(worst, conjugate_by_Vu(D0, u, theta).max_deviation(D0, window))
-    record("covariance", worst)
-
-    worst = 0.0
-    for _ in range(args.samples):
+    def conjugation_gap() -> float:
         A = random_one_form()
         u = FourierElement.unit(n, tuple(int(x) for x in rng.integers(-2, 3, size=n)))
         lhs = conjugate_by_Vu(covariant_dirac(A, theta), u, theta)
-        rhs = covariant_dirac(gauge_transform(u, A, theta), theta)
-        worst = max(worst, lhs.max_deviation(rhs, window))
-    record(f"gauge-conjugation x{args.samples}", worst)
+        return lhs.max_deviation(covariant_dirac(gauge_transform(u, A, theta), theta), window)
 
-    worst = 0.0
-    for _ in range(max(args.samples // 2, 3)):
-        A = random_one_form()
-        worst = max(worst, square_expansion_check(A, theta, window_K=2))
-    record(f"square-expansion x{max(args.samples // 2, 3)}", worst)
+    # pure-gauge identity on a box of mode labels
+    labels = (tuple(int(x) - 3 for x in k) for k in np.ndindex(*(7,) * n))
+    record("pure-gauge |k|<=3", (pure_gauge_check(k, n, theta, window_K=2) for k in labels))
+    # covariance: conjugating the flat operator by a basis gauge unitary
+    D0 = covariant_dirac(OneForm.zero(n), theta)
+    window = ModeWindow(n, 2, spinor_dim=2 ** (n // 2))
+    record("covariance", (conjugate_by_Vu(D0, FourierElement.unit(n, k), theta).max_deviation(
+        D0, window) for k in [(1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,), (1,) * n]))
+    record(f"gauge-conjugation x{args.samples}", (conjugation_gap() for _ in range(args.samples)))
+    squares = max(args.samples // 2, 3)
+    record(f"square-expansion x{squares}",
+           (square_expansion_check(random_one_form(), theta, window_K=2) for _ in range(squares)))
 
     ok = all(r["ok"] for r in rows)
-    _write_outputs(Path(cfg.out_dir) / "op-check", rows,
-                   {"worst_deviation": worst_overall, "all_ok": ok}, cfg)
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    worst = max(r["deviation"] for r in rows)
+    return rows, {"worst_deviation": worst, "all_ok": ok}, EXIT_OK if ok else EXIT_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
+
+# group -> sub -> (handler, leaf flags with their argparse keywords)
+_COMMANDS = {
+    "zeta": {
+        "eval": (_cmd_zeta_eval, {
+            "--P": {"required": True, "help": "numerator polynomial, e.g. k1^2*k2^2"},
+            "--s-re": {"type": float, "default": 0.0},
+            "--s-im": {"type": float, "default": 0.0},
+            "--twist": {"help": "JSON list twist vector"}}),
+        "residue": (_cmd_zeta_residue, {"--P": {"required": True}, "--shift": {"type": float}}),
+    },
+    "dio": {
+        "classify": (_cmd_dio_classify, {"--u-bound": {"type": int, "default": 3}}),
+        "construct": (_cmd_dio_construct, {
+            "--f": {"help": 'profile JSON, e.g. {"kind": "power", "alpha": 3}'},
+            "--depth": {"type": int, "default": 6}}),
+    },
+    "action": {"fit": (_cmd_action_fit, {}), "constant-term": (_cmd_action_constant_term, {}),
+               "heat": (_cmd_action_heat, {}), "correction": (_cmd_action_correction, {})},
+    "op": {"check": (_cmd_op_check, {
+        "--samples": {"type": int, "default": 20},
+        "--dump-gammas": {"action": "store_true",
+                          "help": "also write the gamma matrices as JSON arrays"}})},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     # global flags may appear before or after the subcommand; SUPPRESS keeps
     # leaf defaults from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
-    for flag, kwargs in _GLOBAL_FLAGS.items():
-        common.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
+    for flag, (key, kind) in _GLOBAL_FLAGS.items():
+        common.add_argument(flag, dest=key or "config", type=kind, default=argparse.SUPPRESS,
+                            help="JSON config file" if key is None else f"sets config key {key}")
 
     parser = argparse.ArgumentParser(prog="ncspectral", parents=[common],
                                      exit_on_error=False)
-    sub = parser.add_subparsers(dest="group")
-
-    zeta_p = sub.add_parser("zeta", exit_on_error=False)
-    zeta_sub = zeta_p.add_subparsers(dest="sub")
-    ev = zeta_sub.add_parser("eval", parents=[common], exit_on_error=False)
-    ev.add_argument("--P", required=True, help="numerator polynomial, e.g. k1^2*k2^2")
-    ev.add_argument("--s-re", type=float, default=0.0)
-    ev.add_argument("--s-im", type=float, default=0.0)
-    ev.add_argument("--twist", help="JSON list twist vector")
-    ev.set_defaults(fn=_cmd_zeta_eval)
-    rs = zeta_sub.add_parser("residue", parents=[common], exit_on_error=False)
-    rs.add_argument("--P", required=True)
-    rs.add_argument("--shift", type=float, default=None)
-    rs.set_defaults(fn=_cmd_zeta_residue)
-
-    dio_p = sub.add_parser("dio", exit_on_error=False)
-    dio_sub = dio_p.add_subparsers(dest="sub")
-    cl = dio_sub.add_parser("classify", parents=[common], exit_on_error=False)
-    cl.add_argument("--u-bound", type=int, default=3)
-    cl.set_defaults(fn=_cmd_dio_classify)
-    co = dio_sub.add_parser("construct", parents=[common], exit_on_error=False)
-    co.add_argument("--f", help='profile JSON, e.g. {"kind": "power", "alpha": 3}')
-    co.add_argument("--depth", type=int, default=6)
-    co.set_defaults(fn=_cmd_dio_construct)
-
-    act_p = sub.add_parser("action", exit_on_error=False)
-    act_sub = act_p.add_subparsers(dest="sub")
-    for name, fn in [("fit", _cmd_action_fit), ("constant-term", _cmd_action_constant_term),
-                     ("heat", _cmd_action_heat), ("correction", _cmd_action_correction)]:
-        pp = act_sub.add_parser(name, parents=[common], exit_on_error=False)
-        pp.set_defaults(fn=fn)
-
-    op_p = sub.add_parser("op", exit_on_error=False)
-    op_sub = op_p.add_subparsers(dest="sub")
-    ck = op_sub.add_parser("check", parents=[common], exit_on_error=False)
-    ck.add_argument("--all", action="store_true")
-    ck.add_argument("--samples", type=int, default=20)
-    ck.add_argument("--dump-gammas", action="store_true",
-                    help="also write the gamma matrices as JSON arrays")
-    ck.set_defaults(fn=_cmd_op_check)
+    groups = parser.add_subparsers(dest="group")
+    for group, subs in _COMMANDS.items():
+        leaves = groups.add_parser(group, exit_on_error=False).add_subparsers(dest="sub")
+        for sub, (_, flags) in subs.items():
+            leaf = leaves.add_parser(sub, parents=[common], exit_on_error=False)
+            for flag, kwargs in flags.items():
+                leaf.add_argument(flag, **kwargs)
     return parser
+
+
+def _resolve_config(args) -> RunConfig:
+    """The config file's keys with the global flags' overrides, validated together."""
+    data: dict = {}
+    if getattr(args, "config", None):
+        try:
+            data = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise ConfigError(str(exc)) from None
+        if not data or not isinstance(data, dict):
+            raise ConfigError("the config must be a nonempty JSON object")
+    data.update({key: getattr(args, key) for key, _ in _GLOBAL_FLAGS.values()
+                 if key is not None and hasattr(args, key)})
+    return RunConfig.from_dict(data)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv:
         print("usage: ncspectral [--config FILE] GROUP SUBCOMMAND [flags]\n"
-              f"groups: {', '.join(_SUBCOMMANDS)}", file=sys.stderr)
+              f"groups: {', '.join(_COMMANDS)}", file=sys.stderr)
         return EXIT_CONFIG
 
     # validate group/sub before argparse so unknown subcommands exit 64; the
-    # value of a global flag placed before the group is not a positional
+    # value of a global flag placed before the group is not a positional, and
+    # --help may stand in for a missing group or sub
     positional = [a for i, a in enumerate(argv) if not a.startswith("-")
                   and (i == 0 or argv[i - 1] not in _GLOBAL_FLAGS)]
-    group = positional[0] if positional else None
-    if group not in _SUBCOMMANDS:
-        print(f"unknown subcommand {group!r}; groups: {', '.join(_SUBCOMMANDS)}",
-              file=sys.stderr)
-        return EXIT_UNKNOWN
-    subname = positional[1] if len(positional) > 1 else None
-    if subname not in _SUBCOMMANDS[group]:
-        print(f"unknown subcommand {group} {subname!r}; "
-              f"expected one of {_SUBCOMMANDS[group]}", file=sys.stderr)
-        return EXIT_UNKNOWN
+    table = _COMMANDS
+    for name in (positional + [None, None])[:2]:
+        if name is None and ("-h" in argv or "--help" in argv):
+            break
+        if name not in table:
+            print(f"unknown subcommand {name!r}; expected one of {list(table)}", file=sys.stderr)
+            return EXIT_UNKNOWN
+        table = table[name]
 
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except (argparse.ArgumentError, SystemExit):
+        args = _build_parser().parse_args(argv)
+    except (argparse.ArgumentError, SystemExit) as exc:
+        if getattr(exc, "code", None) == 0:  # argparse exits 0 after printing --help
+            return EXIT_OK
         print("malformed arguments", file=sys.stderr)
         return EXIT_CONFIG
 
-    cfg_data: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            cfg_data = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"malformed config: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        if not cfg_data:
-            print("malformed config: empty\nusage: ncspectral GROUP SUB [flags]",
-                  file=sys.stderr)
-            return EXIT_CONFIG
     try:
-        cfg = RunConfig.from_dict(cfg_data)
+        cfg = _resolve_config(args)
+        rows, summary, code = _COMMANDS[args.group][args.sub][0](cfg, args)
     except ConfigError as exc:
         print(f"malformed config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if getattr(args, "n", None) is not None:
-        cfg.n = args.n
-    if getattr(args, "theta", None) is not None:
-        cfg.theta_preset = args.theta
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    env_threads = os.environ.get("NCSPECTRAL_THREADS")
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
-    elif env_threads:
-        try:
-            cfg.threads = max(1, int(env_threads))
-        except ValueError:
-            print("malformed NCSPECTRAL_THREADS", file=sys.stderr)
-            return EXIT_CONFIG
-
-    try:
-        return args.fn(cfg, args)
-    except (PoleEvaluationError, MomentError, WindowError, MemoryError) as exc:
+    except (PoleEvaluationError, MomentError, WindowError, MemoryError, ValueError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ConfigError as exc:
-        print(f"malformed config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    _write_outputs(_run_dir(cfg, args), rows, summary, cfg)
+    return code
 
 
 if __name__ == "__main__":

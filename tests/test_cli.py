@@ -54,6 +54,20 @@ class TestExitCodes:
         assert run_cli(["zeta", "eval", "--P", "1", "--s-re", "2.0", "--n", "2",
                         "--out", str(tmp_path)]) == EXIT_PRECONDITION
 
+    def test_heat_nonpositive_t_is_precondition_failure(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"n": 2, "t_grid": [0.0]}))
+        assert run_cli(["action", "heat", "--config", str(tmp_path / "cfg.json"),
+                        "--out", str(tmp_path)]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "precondition failure" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["zeta", "eval", "--help"]],
+                             ids=["top", "leaf"])
+    def test_help(self, capsys, argv):
+        assert run_cli(argv) == EXIT_OK
+        out = capsys.readouterr()
+        assert out.out.startswith("usage: ncspectral") and out.err == ""
+
     @pytest.mark.parametrize("argv, config", [
         (["action", "heat"], {"n": 2, "one_form": [[5, [1, 0], 0.3, 0.0]]}),
         (["action", "constant-term"], {"n": 2, "one_form": [[5, [1, 0], 0.3, 0.0]]}),
@@ -63,8 +77,16 @@ class TestExitCodes:
         (["zeta", "residue", "--n", "2", "--P", "k9"], None),
         (["zeta", "residue", "--n", "2", "--P", "k1^"], None),
         (["zeta", "eval", "--n", "2", "--P", "k1", "--twist", "[0.1"], None),
+        (["zeta", "residue", "--n", "2", "--P", "k1^8"], None),
+        (["zeta", "eval", "--n", "2", "--P", "k1-k1"], None),
+        (["zeta", "residue", "--P", "1"], {"n": "2"}),
+        (["action", "fit"], {"n": 2, "profile": "bogus"}),
+        (["zeta", "residue", "--n", "0", "--P", "1"], None),
+        (["dio", "construct", "--f", '{"kind": "power", "alpha": 1}'], None),
+        (["dio", "construct", "--f", "{bad"], None),
     ], ids=["axis-heat", "axis-constant-term", "axis-fit", "theta-not-skew", "P-variable",
-            "P-exponent", "twist-json"])
+            "P-exponent", "twist-json", "P-degree", "P-zero", "n-string", "profile-unknown",
+            "n-flag-zero", "f-alpha", "f-json"])
     def test_malformed_input_is_config_error(self, tmp_path, capsys, argv, config):
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -135,7 +157,7 @@ class TestRuns:
         assert float(rows[0]["value_re"]) == pytest.approx(-1.0, abs=1e-12)
 
     def test_op_check_passes(self, tmp_path, capsys):
-        code = run_cli(["op", "check", "--all", "--n", "2", "--samples", "6",
+        code = run_cli(["op", "check", "--n", "2", "--samples", "6",
                         "--out", str(tmp_path)])
         assert code == EXIT_OK
         summary = json.loads((tmp_path / "op-check" / "summary.json").read_text())
@@ -145,7 +167,7 @@ class TestRuns:
     def test_op_check_tolerance_failure(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tolerance": 1e-20}))
-        code = run_cli(["op", "check", "--all", "--n", "2", "--samples", "4",
+        code = run_cli(["op", "check", "--n", "2", "--samples", "4",
                         "--config", str(cfg), "--out", str(tmp_path)])
         assert code == EXIT_TOLERANCE
 
@@ -174,14 +196,6 @@ class TestRuns:
         data = json.loads((tmp_path / "op-check" / "gammas.json").read_text())
         assert data["n"] == 2 and len(data["gammas"]) == 2
         assert data["epsilon"] in (1, -1)
-
-    def test_threads_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("NCSPECTRAL_THREADS", "2")
-        code = run_cli(["zeta", "residue", "--n", "2", "--P", "k1^2",
-                        "--out", str(tmp_path)])
-        assert code == EXIT_OK
-        summary = json.loads((tmp_path / "zeta-residue" / "summary.json").read_text())
-        assert summary["config"]["threads"] == 2
 
 
 class TestActionRuns:

@@ -70,3 +70,35 @@ def referenced_names(paths) -> set[str]:
 def test_private_names_referenced(path):
     used = referenced_names(SRC.glob("*.py"))
     assert [name for name in private_definitions(path) if name not in used] == []
+
+
+def cli_reads() -> tuple[ast.Module, set[str], set[str]]:
+    """cli.py's tree and the attributes it reads off `cfg` and off `args`."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    reads: dict[str, set[str]] = {"cfg": set(), "args": set()}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id in reads):
+            reads[node.value.id].add(node.attr)
+    return tree, reads["cfg"], reads["args"]
+
+
+def test_config_fields_are_read():
+    # a RunConfig field that is only ever assigned is a knob that changes nothing
+    tree, cfg_reads, _ = cli_reads()
+    config = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    fields = [node.target.id for node in config.body if isinstance(node, ast.AnnAssign)]
+    assert fields and [name for name in fields if name not in cfg_reads] == []
+
+
+def test_leaf_flags_are_read():
+    # every flag of the command table reaches its handler through `args`
+    tree, _, args_reads = cli_reads()
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_COMMANDS" for t in node.targets))
+    flags = [key.value for node in ast.walk(table) if isinstance(node, ast.Dict)
+             for key in node.keys
+             if isinstance(key, ast.Constant) and str(key.value).startswith("--")]
+    assert flags and [flag for flag in flags
+                      if flag[2:].replace("-", "_") not in args_reads] == []
