@@ -7,9 +7,14 @@ grid, and the residue-based noncommutative integrals of powers of
 expansion.
 
 Perturbed heat traces and spectral actions share one engine, since the heat
-trace at t is the Gaussian action at lam = t^{-1/2}: it diagonalizes the
-window compression of the covariant Dirac operator (by connected blocks when
-the one-form's support is collinear) and adds one outside-window tail bound.
+trace at t is the Gaussian action at lam = t^{-1/2}.  It compresses the
+covariant Dirac operator to a mode window and diagonalizes a Gram matrix
+whose eigenvalues are the squared window eigenvalues (by connected blocks
+when the one-form's support is collinear), then adds one outside-window tail
+bound.  In even n the operator anticommutes with the chirality, so the Gram
+matrix is C* C of its chiral block C, at half the window size, and each
+singular value of C stands for the eigenvalue pair +-sigma; odd n squares the
+window matrix.  The dense limit still counts the full window basis.
 Unperturbed traces are lattice sums, and every lattice-sum decision (direct
 or Poisson-dual side, box enumeration and its memory guard, the integral-twist
 test) is made in `zeta`; this module only calls it.
@@ -36,6 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix, identity, kron
 
 from .clifford import build_gamma
 from .operators import ModeWindow, OneForm, WindowError, assemble_sparse, covariant_dirac
@@ -156,8 +162,10 @@ def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
 
     With no perturbation the exact lattice formula 2^m sum_k e^{-t |k|^2}
     applies (`zeta.gaussian_sum`).  With a perturbation this is the Gaussian
-    spectral action at lam = t^{-1/2} on a mode window; above the dense limit
-    a non-collinear support is estimated stochastically with fixed per-probe
+    spectral action at lam = t^{-1/2} on a mode window, read off the chiral
+    Gram block C* C in even n and the squared window matrix in odd n (see
+    `_perturbed_trace`).  When the full window basis exceeds the dense limit a
+    non-collinear support is estimated stochastically with fixed per-probe
     seeds instead.  `method` is one of auto, exact-formula, chain or
     dense-window; chain needs a collinear support.
     """
@@ -223,9 +231,13 @@ def _perturbed_trace(profile: CutoffProfile, lam: float, A: OneForm,
                      dense_limit: int = _DENSE_LIMIT) -> tuple[float, float, str]:
     """(Tr profile(D_A / lam) on the window, outside-window tail bound, path).
 
-    A collinear support splits the compression into lattice lines along its
+    The trace is read off the Gram matrix of `_chiral_gram`: its eigenvalues
+    mu are the squared |eigenvalues| of the window matrix, so the trace is
+    mult * sum profile(sqrt(mu) / lam), which needs the profile to be even.  A
+    collinear support splits the Gram matrix into lattice lines along its
     direction, cut where sin(1/2 h.Theta k) vanishes (chain-window); otherwise,
-    or when forced, it is diagonalized whole (dense-window).
+    or when forced, it is diagonalized whole (dense-window).  The dense limit
+    is compared with the full window basis, not the half-size Gram matrix.
     """
     chain = method != "dense-window" and _collinear_direction(A) is not None
     if method == "chain" and not chain:
@@ -233,10 +245,33 @@ def _perturbed_trace(profile: CutoffProfile, lam: float, A: OneForm,
     if method == "auto" and not chain:
         _check_dense_limit(window.basis_size, dense_limit)
     M = assemble_sparse(covariant_dirac(A, theta), window, basis_limit=window.basis_size)
-    eigs = _block_eigenvalues(M) if chain else np.linalg.eigvalsh(M.toarray())
-    val = float(np.sum([profile(x) for x in np.abs(eigs) / lam]))
+    G, mult = _chiral_gram(M, window)
+    mu = _block_eigenvalues(G) if chain else np.linalg.eigvalsh(G.toarray())
+    val = mult * float(np.sum([profile(x) for x in np.sqrt(np.maximum(mu, 0.0)) / lam]))
     return (val, _outside_tail(profile, lam, A, window.K),
             "chain-window" if chain else "dense-window")
+
+
+def _chiral_gram(M, window: ModeWindow) -> tuple[csr_matrix, int]:
+    """(G, mult): the eigenvalues of G are the squared |eigenvalues| of M, each counted mult times.
+
+    In even n every term of D_A carries exactly one gamma matrix, so D_A
+    anticommutes with the chirality.  With the spinor index rotated into the
+    chirality eigenbasis by P+- = 1_modes (x) U+-, the window matrix is
+    [[0, C], [C*, 0]] with C = P+* M P-, whose eigenvalues are +-sigma(C): G is
+    C* C at half the window size and mult is 2.  Odd n has no chirality, and G
+    is M M with mult 1.
+    """
+    chi = build_gamma(window.n).chirality
+    if chi is None:
+        return (M @ M).tocsr(), 1
+    _, U = np.linalg.eigh(chi)  # ascending: the -1 eigenvectors first
+    half = U.shape[1] // 2
+    modes = identity(len(window.points), format="csr")
+    P_minus = kron(modes, csr_matrix(U[:, :half]), format="csr")
+    P_plus = kron(modes, csr_matrix(U[:, half:]), format="csr")
+    C = (P_plus.conj().T @ M @ P_minus).tocsr()
+    return (C.conj().T @ C).tocsr(), 2
 
 
 def _block_eigenvalues(M) -> np.ndarray:
@@ -368,9 +403,11 @@ def spectral_action(profile: CutoffProfile, lam: float, n: int,
 
     Unperturbed Gaussian runs through the heat-trace code path at t = 1/lam^2;
     other unperturbed profiles are summed directly over the lattice.  With a
-    perturbation the window compression is diagonalized (by blocks when the
-    support is collinear); above the dense limit a non-collinear support
-    raises WindowError.
+    perturbation the trace comes from the eigenvalues of the chiral Gram
+    block C* C at half the window size in even n, or of the squared window
+    matrix in odd n (by blocks when the support is collinear; see
+    `_perturbed_trace`).  When the full window basis exceeds the dense limit a
+    non-collinear support raises WindowError.
     """
     if lam <= 0:
         raise ValueError("cutoff scale must be positive")

@@ -374,6 +374,8 @@ def _cmd_action_correction(cfg: RunConfig, args) -> _Outcome:
 
 
 def _cmd_op_check(cfg: RunConfig, args) -> _Outcome:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     n = cfg.n
     theta = build_theta(cfg)
     tol = cfg.tolerance

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix, identity, kron
 from scipy.special import gamma as gamma_fn
 
 from ncspectral.action import (
@@ -19,6 +20,7 @@ from ncspectral.action import (
     twisted_heat_trace,
 )
 from ncspectral.action import _block_eigenvalues, _collinear_direction
+from ncspectral.clifford import build_gamma
 from ncspectral.diophantine import golden_ratio, jarnik_construct, power_profile
 from ncspectral.operators import (
     ModeWindow,
@@ -270,14 +272,17 @@ class TestSpectralAction:
             assert chain.value == pytest.approx(dense_val, rel=1e-12)
 
 
+def _window_eigs(n, K, th, A):
+    # oracle: full-window eigvalsh of the dense compression
+    window = ModeWindow(n, K, spinor_dim=2 ** (n // 2))
+    return np.linalg.eigvalsh(assemble_dense(covariant_dirac(A, th), window,
+                                             basis_limit=window.basis_size))
+
+
 def _dense_reference(profile, lam, th, A):
-    # reference: assemble the full window compression densely and sum directly
+    # reference: the full window of the Gaussian policy, summed directly
     K = int(math.ceil(lam * math.sqrt(42.0))) + A.spread + 1
-    window = ModeWindow(2, K, spinor_dim=2)
-    mat = assemble_dense(covariant_dirac(A, th), window,
-                         basis_limit=window.basis_size)
-    eigs = np.linalg.eigvalsh(mat)
-    return float(np.sum([profile(abs(x) / lam) for x in eigs]))
+    return float(np.sum([profile(abs(x) / lam) for x in _window_eigs(2, K, th, A)]))
 
 
 class TestChainDecomposition:
@@ -297,6 +302,72 @@ class TestChainDecomposition:
             chain = np.sort(_block_eigenvalues(assemble_sparse(DA, window)))
             dense = np.linalg.eigvalsh(assemble_dense(DA, window))
             assert np.allclose(chain, dense, atol=1e-11)
+
+
+THETA_3 = DeformationMatrix(np.array([[0.0, 1.3, 0.4], [-1.3, 0.0, 0.7], [-0.4, -0.7, 0.0]]))
+
+_CHIRAL_CASES = {
+    "n2-collinear-real": (2, 6, 2.0, [(1, (1, 0), 0.4)]),
+    "n2-collinear-imag": (2, 6, 2.0, [(1, (0, 1), 0.3j)]),
+    "n2-collinear-complex": (2, 6, 2.0, [(2, (1, 1), 0.3 - 0.2j), (1, (2, 2), 0.1j)]),
+    "n2-noncollinear-real": (2, 6, 2.0, [(1, (1, 0), 0.3), (2, (0, 1), 0.25)]),
+    "n2-noncollinear-imag": (2, 6, 2.0, [(1, (1, 0), 0.3j), (2, (0, 1), -0.2j)]),
+    "n2-noncollinear-complex": (2, 6, 2.0, [(1, (1, 0), 0.3 + 0.1j), (2, (1, 1), 0.2 - 0.3j)]),
+    "n4-collinear": (4, 2, 1.0, [(1, (0, 1, 0, 0), 0.37)]),
+    "n4-noncollinear": (4, 2, 1.0, [(1, (1, 0, 0, 0), 0.3), (2, (0, 1, 0, 0), 0.25j)]),
+    "n3-collinear": (3, 3, 1.5, [(2, (1, 0, 0), 0.3 - 0.1j)]),
+    "n3-noncollinear": (3, 3, 1.5, [(1, (1, 0, 0), 0.3), (3, (0, 1, 0), 0.2j)]),
+}
+
+
+class TestChiralRoute:
+    @pytest.mark.parametrize("case", list(_CHIRAL_CASES))
+    def test_matches_full_window_eigvalsh(self, case):
+        n, K, lam, terms = _CHIRAL_CASES[case]
+        th = THETA_3 if n == 3 else theta_block(n)
+        A = OneForm.from_terms(n, terms)
+        collinear = _collinear_direction(A) is not None
+        gauss, sgauss = CutoffProfile.gaussian(), CutoffProfile.super_gaussian()
+        eigs = _window_eigs(n, K, th, A)
+
+        def want(profile):
+            return float(np.sum([profile(abs(x) / lam) for x in eigs]))
+
+        methods = ("chain", "dense-window") if collinear else ("dense-window",)
+        for method in methods:
+            hs = heat_trace(n, lam ** -2, theta=th, A=A, method=method, window_K=K)
+            assert hs.method == ("chain-window" if method == "chain" else method)
+            assert hs.value == pytest.approx(want(gauss), rel=1e-12)
+        sa = spectral_action(sgauss, lam, n, theta=th, A=A, window_K=K)
+        assert sa.method == ("chain-window" if collinear else "dense-window")
+        assert sa.value == pytest.approx(want(sgauss), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_window_matrix_is_chirally_off_diagonal(self, n):
+        # every term of D_A carries one gamma matrix, so the ++ and -- blocks vanish;
+        # one component per axis, shifted by e_a + 2 e_{a+1}: a non-collinear support
+        A = OneForm.from_terms(n, [(a + 1, tuple(1 if i == a else 2 if i == (a + 1) % n else 0
+                                                 for i in range(n)), 0.3 - 0.2j * a)
+                                   for a in range(n)])
+        window = ModeWindow(n, 1, spinor_dim=2 ** (n // 2))
+        M = assemble_sparse(covariant_dirac(A, theta_block(n)), window)
+        w, U = np.linalg.eigh(build_gamma(n).chirality)
+        assert np.allclose(w, np.repeat([-1.0, 1.0], len(w) // 2))
+        modes = identity(len(window.points), format="csr")
+        for cols in (U[:, w < 0], U[:, w > 0]):
+            P = kron(modes, csr_matrix(cols), format="csr")
+            block = (P.conj().T @ M @ P).toarray()
+            assert np.max(np.abs(block), initial=0.0) < 1e-14
+
+    def test_dense_limit_counts_full_window(self):
+        # basis 162 = 81 modes x 2 spinors; the limit 100 lies between N/2 and N
+        th = theta_block(2)
+        A = OneForm.from_terms(2, [(1, (1, 0), 0.3), (2, (0, 1), 0.2j)])
+        hs = heat_trace(2, 0.8, theta=th, A=A, window_K=4, dense_limit=100, probes=4)
+        assert hs.method == "hutchinson"
+        with pytest.raises(WindowError):
+            spectral_action(CutoffProfile.gaussian(), 1.2, 2, theta=th, A=A, window_K=4,
+                            dense_limit=100)
 
 
 class TestFitExpansion:

@@ -84,9 +84,11 @@ class TestExitCodes:
         (["zeta", "residue", "--n", "0", "--P", "1"], None),
         (["dio", "construct", "--f", '{"kind": "power", "alpha": 1}'], None),
         (["dio", "construct", "--f", "{bad"], None),
+        (["op", "check", "--n", "2", "--samples", "0"], None),
+        (["op", "check", "--n", "2", "--samples", "-1"], None),
     ], ids=["axis-heat", "axis-constant-term", "axis-fit", "theta-not-skew", "P-variable",
             "P-exponent", "twist-json", "P-degree", "P-zero", "n-string", "profile-unknown",
-            "n-flag-zero", "f-alpha", "f-json"])
+            "n-flag-zero", "f-alpha", "f-json", "samples-zero", "samples-negative"])
     def test_malformed_input_is_config_error(self, tmp_path, capsys, argv, config):
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
