@@ -8,13 +8,16 @@ expansion.
 
 Perturbed heat traces and spectral actions share one engine, since the heat
 trace at t is the Gaussian action at lam = t^{-1/2}.  It compresses the
-covariant Dirac operator to a mode window and diagonalizes a Gram matrix
-whose eigenvalues are the squared window eigenvalues (by connected blocks
-when the one-form's support is collinear), then adds one outside-window tail
-bound.  In even n the operator anticommutes with the chirality, so the Gram
-matrix is C* C of its chiral block C, at half the window size, and each
-singular value of C stands for the eigenvalue pair +-sigma; odd n squares the
-window matrix.  The dense limit still counts the full window basis.
+covariant Dirac operator to a mode window and forms a Gram matrix G whose
+eigenvalues are the squared window eigenvalues.  In even n the operator
+anticommutes with the chirality, so G is C* C of its chiral block C, at half
+the window size, and each singular value of C stands for the eigenvalue pair
++-sigma; odd n squares the window matrix.  The trace is one spectral function
+of G, evaluated by one of three quadratures: exactly over the connected blocks
+of G when the one-form's support is collinear, exactly over the whole of G
+when the full window basis is within the dense limit, and otherwise, for any
+profile, by stochastic Lanczos quadrature over Rademacher probes with a
+standard error.  One outside-window tail bound is added to each.
 Unperturbed traces are lattice sums, and every lattice-sum decision (direct
 or Poisson-dual side, box enumeration and its memory guard, the integral-twist
 test) is made in `zeta`; this module only calls it.
@@ -44,7 +47,8 @@ from scipy.integrate import quad
 from scipy.sparse import csr_matrix, identity, kron
 
 from .clifford import build_gamma
-from .operators import ModeWindow, OneForm, WindowError, assemble_sparse, covariant_dirac
+from .operators import (DEFAULT_BASIS_LIMIT, ModeWindow, OneForm, WindowError, assemble_sparse,
+                        covariant_dirac)
 from .polynomials import Poly, poly_mul
 from .weyl import DeformationMatrix, FourierElement, field_strength, multiply, trace
 from .zeta import (TwistedSeries, _lattice_shell_sums, check_lattice_box, gaussian_sum,
@@ -73,6 +77,8 @@ __all__ = [
 ]
 
 _DENSE_LIMIT = 20_000
+_PROBES = 64
+_PROBE_SEED = 7
 
 
 class MomentError(ValueError):
@@ -149,6 +155,7 @@ class HeatSample:
     tail_bound: float
     method: str
     window_K: int | None = None
+    stderr: float = 0.0
 
 
 _HEAT_METHODS = ("auto", "exact-formula", "chain", "dense-window")
@@ -157,22 +164,23 @@ _HEAT_METHODS = ("auto", "exact-formula", "chain", "dense-window")
 def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
                A: OneForm | None = None, method: str = "auto",
                window_K: int | None = None, dense_limit: int = _DENSE_LIMIT,
-               probes: int = 64, seed: int = 7) -> HeatSample:
+               probes: int = _PROBES) -> HeatSample:
     """Trace of e^{-t D_A^2}.
 
     With no perturbation the exact lattice formula 2^m sum_k e^{-t |k|^2}
     applies (`zeta.gaussian_sum`).  With a perturbation this is the Gaussian
-    spectral action at lam = t^{-1/2} on a mode window, read off the chiral
-    Gram block C* C in even n and the squared window matrix in odd n (see
-    `_perturbed_trace`).  When the full window basis exceeds the dense limit a
-    non-collinear support is estimated stochastically with fixed per-probe
-    seeds instead.  `method` is one of auto, exact-formula, chain or
-    dense-window; chain needs a collinear support.
+    spectral action at lam = t^{-1/2}, computed by the one perturbed-trace
+    engine (`_perturbed_trace`): chain, dense or stochastic quadrature of the
+    profile on the chiral Gram matrix, the last with `probes` Rademacher probes
+    (at least 2) and a standard error.  `method` is one of auto, exact-formula,
+    chain or dense-window; chain needs a collinear support.
     """
     if method not in _HEAT_METHODS:
         raise ValueError(f"unknown heat-trace method {method!r}; expected one of {_HEAT_METHODS}")
     if t <= 0:
         raise ValueError("t must be positive")
+    if probes < 2:
+        raise ValueError("a stochastic trace needs at least 2 probes")
     m = n // 2
     if A is None or A.is_zero():
         if method in ("auto", "exact-formula"):
@@ -187,14 +195,9 @@ def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
         raise ValueError("exact-formula method requires A = None")
 
     profile, lam = CutoffProfile.gaussian(), t ** -0.5
-    window = ModeWindow(n, _window_K(profile, lam, A, window_K), spinor_dim=2 ** m)
-    if method == "auto" and window.basis_size > dense_limit and _collinear_direction(A) is None:
-        M = assemble_sparse(covariant_dirac(A, theta), window, basis_limit=window.basis_size)
-        val, tail, path = (_hutchinson_heat(M, t, probes, seed),
-                           _outside_tail(profile, lam, A, window.K), "hutchinson")
-    else:
-        val, tail, path = _perturbed_trace(profile, lam, A, theta, window, method, dense_limit)
-    return HeatSample(t=t, value=val, tail_bound=tail, method=path, window_K=window.K)
+    K = _window_K(profile, lam, A, window_K)
+    val, tail, path, err = _perturbed_trace(profile, lam, A, theta, K, method, dense_limit, probes)
+    return HeatSample(t=t, value=val, tail_bound=tail, method=path, window_K=K, stderr=err)
 
 
 def _collinear_direction(A: OneForm) -> tuple[int, ...] | None:
@@ -219,37 +222,85 @@ def _window_K(profile: CutoffProfile, lam: float, A: OneForm, window_K: int | No
     return _profile_window_radius(profile, lam) + A.spread + 1
 
 
-def _check_dense_limit(basis_size: int, dense_limit: int) -> None:
-    if basis_size > dense_limit:
+def _window_basis(n: int, K: int) -> int:
+    """Basis size N of the radius-K max-norm window with 2^{n//2} spinor components."""
+    return (2 * K + 1) ** n * 2 ** (n // 2)
+
+
+def _check_basis(basis_size: int, limit: int, kind: str = "dense") -> None:
+    if basis_size > limit:
         raise WindowError(
-            f"window basis {basis_size} exceeds dense limit {dense_limit}; "
+            f"window basis {basis_size} exceeds {kind} limit {limit}; "
             "use a collinear one-form or a smaller scale")
 
 
 def _perturbed_trace(profile: CutoffProfile, lam: float, A: OneForm,
-                     theta: DeformationMatrix, window: ModeWindow, method: str = "auto",
-                     dense_limit: int = _DENSE_LIMIT) -> tuple[float, float, str]:
-    """(Tr profile(D_A / lam) on the window, outside-window tail bound, path).
+                     theta: DeformationMatrix, K: int, method: str = "auto",
+                     dense_limit: int = _DENSE_LIMIT, probes: int = _PROBES
+                     ) -> tuple[float, float, str, float]:
+    """(Tr profile(D_A / lam) on the radius-K window, outside-window tail bound, path, stderr).
 
-    The trace is read off the Gram matrix of `_chiral_gram`: its eigenvalues
-    mu are the squared |eigenvalues| of the window matrix, so the trace is
-    mult * sum profile(sqrt(mu) / lam), which needs the profile to be even.  A
-    collinear support splits the Gram matrix into lattice lines along its
-    direction, cut where sin(1/2 h.Theta k) vanishes (chain-window); otherwise,
-    or when forced, it is diagonalized whole (dense-window).  The dense limit
-    is compared with the full window basis, not the half-size Gram matrix.
+    The trace is one spectral function f(mu) = mult * profile(sqrt(mu) / lam)
+    of the Gram matrix G of `_chiral_gram`, whose eigenvalues mu are the squared
+    |eigenvalues| of the window matrix (so the profile must be even).  A
+    collinear support splits G into lattice lines along its direction, cut where
+    sin(1/2 h.Theta k) vanishes (chain-window).  A full window basis N within
+    the dense limit, or a forced dense path, diagonalizes G whole
+    (dense-window).  Otherwise the mean of Lanczos quadratures over probes
+    estimates it (hutchinson, with a standard error), on a window checked
+    against `DEFAULT_BASIS_LIMIT` before it is built.
     """
+    N = _window_basis(A.n, K)
     chain = method != "dense-window" and _collinear_direction(A) is not None
     if method == "chain" and not chain:
         raise WindowError("chain method needs a nonzero one-form with collinear support")
-    if method == "auto" and not chain:
-        _check_dense_limit(window.basis_size, dense_limit)
-    M = assemble_sparse(covariant_dirac(A, theta), window, basis_limit=window.basis_size)
+    stochastic = method == "auto" and not chain and N > dense_limit
+    if stochastic:
+        _check_basis(N, DEFAULT_BASIS_LIMIT, "stochastic")
+    window = ModeWindow(A.n, K, spinor_dim=2 ** (A.n // 2))
+    M = assemble_sparse(covariant_dirac(A, theta), window, basis_limit=N)
     G, mult = _chiral_gram(M, window)
+
+    def f(mu):
+        return mult * np.array([profile(x) for x in np.sqrt(np.maximum(mu, 0.0)) / lam])
+
+    tail = _outside_tail(profile, lam, A, K)
+    if stochastic:  # Rademacher probes from a fixed seed
+        rng = np.random.default_rng(_PROBE_SEED)
+        samples = [_lanczos_quadrature(G, rng.integers(0, 2, size=G.shape[0]) * 2.0 - 1.0, f)
+                   for _ in range(probes)]
+        return (float(np.mean(samples)), tail, "hutchinson",
+                float(np.std(samples, ddof=1)) / math.sqrt(probes))
     mu = _block_eigenvalues(G) if chain else np.linalg.eigvalsh(G.toarray())
-    val = mult * float(np.sum([profile(x) for x in np.sqrt(np.maximum(mu, 0.0)) / lam]))
-    return (val, _outside_tail(profile, lam, A, window.K),
-            "chain-window" if chain else "dense-window")
+    return float(np.sum(f(mu))), tail, "chain-window" if chain else "dense-window", 0.0
+
+
+def _lanczos_quadrature(G, v: np.ndarray, f) -> float:
+    """v* f(G) v by Gauss quadrature on the Lanczos tridiagonal T of (G, v).
+
+    Nodes are the eigenvalues of T, weights |v|^2 S[0, j]^2 from its eigenvectors
+    S (Ubaru, Chen, Saad, SIAM J. Matrix Anal. Appl. 38 (2017)).  Stops when the
+    quadrature moves by at most 1e-14 relative, on breakdown or after G.shape[0]
+    steps.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    norm2 = float(np.vdot(v, v).real)
+    q_prev, q, beta = 0.0, v / math.sqrt(norm2), 0.0
+    alphas, betas, est = [], [], None
+    for _ in range(G.shape[0]):
+        w = G @ q - beta * q_prev
+        alphas.append(float(np.vdot(q, w).real))
+        w -= alphas[-1] * q
+        nodes, S = eigh_tridiagonal(alphas, betas)
+        last, est = est, norm2 * float(np.sum(S[0] ** 2 * f(nodes)))
+        beta = float(np.linalg.norm(w))
+        if ((last is not None and abs(est - last) <= 1e-14 * abs(est))
+                or beta <= 1e-14 * max(map(abs, alphas))):
+            break
+        betas.append(beta)
+        q_prev, q = q, w / beta
+    return est
 
 
 def _chiral_gram(M, window: ModeWindow) -> tuple[csr_matrix, int]:
@@ -306,20 +357,6 @@ def _outside_tail(profile: CutoffProfile, lam: float, A: OneForm, K: int) -> flo
         if term < 1e-18 * (1.0 + total):
             break
     return (2 ** (n // 2)) * total
-
-
-def _hutchinson_heat(M, t: float, probes: int, seed: int) -> float:
-    """Rademacher trace estimate of e^{-t M^2} for a sparse window compression."""
-    from scipy.sparse.linalg import expm_multiply
-
-    M2 = (M @ M).tocsc() * (-t)
-    acc = 0.0
-    for p in range(probes):
-        rng = np.random.default_rng(seed * 1_000_003 + p)
-        v = rng.integers(0, 2, size=M.shape[0]).astype(float) * 2.0 - 1.0
-        w = expm_multiply(M2, v.astype(complex))
-        acc += float(np.real(np.vdot(v, w)))
-    return acc / probes
 
 
 def twisted_heat_trace(a: FourierElement, b: FourierElement, theta: DeformationMatrix,
@@ -394,6 +431,7 @@ class ActionValue:
     value: float
     tail_bound: float
     method: str
+    stderr: float = 0.0
 
 
 def spectral_action(profile: CutoffProfile, lam: float, n: int,
@@ -403,15 +441,13 @@ def spectral_action(profile: CutoffProfile, lam: float, n: int,
 
     Unperturbed Gaussian runs through the heat-trace code path at t = 1/lam^2;
     other unperturbed profiles are summed directly over the lattice.  With a
-    perturbation the trace comes from the eigenvalues of the chiral Gram
-    block C* C at half the window size in even n, or of the squared window
-    matrix in odd n (by blocks when the support is collinear; see
-    `_perturbed_trace`).  When the full window basis exceeds the dense limit a
-    non-collinear support raises WindowError.
+    perturbation the one perturbed-trace engine (`_perturbed_trace`) evaluates
+    the profile on the chiral Gram matrix: exactly on chain blocks or the dense
+    window, and stochastically, for any profile and with a standard error, when
+    a non-collinear support's full window basis exceeds the dense limit.
     """
     if lam <= 0:
         raise ValueError("cutoff scale must be positive")
-    m = n // 2
     if A is None or A.is_zero():
         if profile.name == "gaussian":
             hs = heat_trace(n, 1.0 / lam ** 2)
@@ -420,9 +456,9 @@ def spectral_action(profile: CutoffProfile, lam: float, n: int,
         return ActionValue(lam, val, tail, "exact-lattice")
     if theta is None:
         raise ValueError("a deformation matrix is required with a perturbation")
-    window = ModeWindow(n, _window_K(profile, lam, A, window_K), spinor_dim=2 ** m)
-    val, tail, path = _perturbed_trace(profile, lam, A, theta, window, dense_limit=dense_limit)
-    return ActionValue(lam, val, tail, path)
+    K = _window_K(profile, lam, A, window_K)
+    val, tail, path, err = _perturbed_trace(profile, lam, A, theta, K, dense_limit=dense_limit)
+    return ActionValue(lam, val, tail, path, err)
 
 
 def _profile_window_radius(profile: CutoffProfile, lam: float) -> int:
@@ -490,8 +526,7 @@ def fit_expansion(profile: CutoffProfile, lam_grid: Sequence[float], n: int,
         check_lattice_box(n, _profile_window_radius(profile, max(lams)))
     elif A is not None and not A.is_zero() and _collinear_direction(A) is None:
         for lam in lams:
-            _check_dense_limit((2 * _window_K(profile, lam, A) + 1) ** n * 2 ** (n // 2),
-                               _DENSE_LIMIT)
+            _check_basis(_window_basis(n, _window_K(profile, lam, A)), _DENSE_LIMIT)
 
     values = [spectral_action(profile, lam, n, theta=theta, A=A).value for lam in lams]
     powers = list(range(n, -1, -1)) + [-1]

@@ -53,7 +53,10 @@ MAX_DEGREE = 6
 _LOG_EPS = 39.0  # ~ -ln(1e-17)
 _MAX_POINTS = 4.0e7
 _CHUNK_POINTS = 1 << 20
-_INT_TOL = 1e-9
+_INT_TOL = 1e-13  # float noise of the twists Theta q / 2 pi of a rational Theta
+# rounding of evaluate, relative to the magnitude summed: a dual term's power beta^alpha
+# has an exponent |alpha log beta| of up to about 100 for twists near 1e-12
+_ROUND_REL = 2e-14
 _DUAL_SWITCH_T = 0.35  # gaussian_sum: the dual side is the cheaper one below this t
 
 # physicists' Hermite polynomials, ascending coefficients, degrees 0..6
@@ -395,17 +398,21 @@ def evaluate(series: TwistedSeries, s: complex, pole_guard: float = 1e-8) -> Con
     D = _fsum_complex(dual_terms) if dual_terms else 0j
 
     total = I1 + D
+    summed = sum(map(abs, direct_terms)) + sum(map(abs, dual_terms))
     flags = []
     if integer_twist:
         kappa = _pole_coefficient(series)
         if kappa != 0.0:
             total += kappa * 2.0 / (s - pole)
+            summed += abs(kappa * 2.0 / (s - pole))
             flags.append("pole-term")
     rg = complex(_rgamma(half_s))
-    value = total * rg - series.constant_coefficient() * complex(_rgamma(half_s + 1.0))
+    const = series.constant_coefficient() * complex(_rgamma(half_s + 1.0))
+    value = total * rg - const
     est = (direct_band * abs(upper_gamma(half_s, float(radius - 1) ** 2))
            * float(radius - 1) ** (-s.real) if radius > 1 else 0.0)
-    est = abs(rg) * (est + dual_band) + 1e-15 * (abs(value) + 1.0)
+    # cancellation can put the magnitude summed far above |value|
+    est = abs(rg) * (est + dual_band) + _ROUND_REL * (abs(rg) * summed + abs(const))
     return ContinuationResult(s=s, value=value, est_error=float(est),
                               method="mellin-split", flags=tuple(flags))
 

@@ -19,7 +19,8 @@ from ncspectral.action import (
     tau_F_squared,
     twisted_heat_trace,
 )
-from ncspectral.action import _block_eigenvalues, _collinear_direction
+from ncspectral.action import (_block_eigenvalues, _chiral_gram, _collinear_direction,
+                               _lanczos_quadrature)
 from ncspectral.clifford import build_gamma
 from ncspectral.diophantine import golden_ratio, jarnik_construct, power_profile
 from ncspectral.operators import (
@@ -266,8 +267,8 @@ class TestSpectralAction:
         p = CutoffProfile.gaussian()
         for z in (0.4, 0.3j):
             A = OneForm.from_terms(2, [(1, (1, 0), z)])
-            chain = spectral_action(p, 2.5, 2, theta=th, A=A)
-            dense_val = _dense_reference(p, 2.5, th, A)
+            chain = spectral_action(p, 2.5, 2, theta=th, A=A, window_K=8)
+            dense_val = _dense_reference(p, 2.5, th, A, 8)
             assert chain.method == "chain-window"
             assert chain.value == pytest.approx(dense_val, rel=1e-12)
 
@@ -279,9 +280,8 @@ def _window_eigs(n, K, th, A):
                                              basis_limit=window.basis_size))
 
 
-def _dense_reference(profile, lam, th, A):
-    # reference: the full window of the Gaussian policy, summed directly
-    K = int(math.ceil(lam * math.sqrt(42.0))) + A.spread + 1
+def _dense_reference(profile, lam, th, A, K):
+    # reference: the full radius-K window, summed directly
     return float(np.sum([profile(abs(x) / lam) for x in _window_eigs(2, K, th, A)]))
 
 
@@ -364,10 +364,10 @@ class TestChiralRoute:
         th = theta_block(2)
         A = OneForm.from_terms(2, [(1, (1, 0), 0.3), (2, (0, 1), 0.2j)])
         hs = heat_trace(2, 0.8, theta=th, A=A, window_K=4, dense_limit=100, probes=4)
-        assert hs.method == "hutchinson"
-        with pytest.raises(WindowError):
-            spectral_action(CutoffProfile.gaussian(), 1.2, 2, theta=th, A=A, window_K=4,
-                            dense_limit=100)
+        sa = spectral_action(CutoffProfile.gaussian(), 1.2, 2, theta=th, A=A, window_K=4,
+                             dense_limit=100)
+        for res in (hs, sa):
+            assert res.method == "hutchinson" and res.stderr > 0
 
 
 class TestFitExpansion:
@@ -508,6 +508,48 @@ class TestHutchinson:
         v1 = heat_trace(2, 0.8, theta=th, A=A, window_K=3, dense_limit=10, probes=16).value
         v2 = heat_trace(2, 0.8, theta=th, A=A, window_K=3, dense_limit=10, probes=16).value
         assert v1 == v2
+
+    @pytest.mark.parametrize("case", ["n2-noncollinear-complex", "n3-noncollinear",
+                                      "n4-noncollinear"])
+    def test_lanczos_quadrature_matches_dense(self, case):
+        # per probe, the Gauss quadrature equals v* f(G) v from a full eigh of G
+        n, K, lam, terms = _CHIRAL_CASES[case]
+        th = THETA_3 if n == 3 else theta_block(n)
+        window = ModeWindow(n, K, spinor_dim=2 ** (n // 2))
+        M = assemble_sparse(covariant_dirac(OneForm.from_terms(n, terms), th), window)
+        G, mult = _chiral_gram(M, window)
+        mu, U = np.linalg.eigh(G.toarray())
+        rng = np.random.default_rng(3)
+        for profile in (CutoffProfile.gaussian(), CutoffProfile.super_gaussian()):
+            def f(x):
+                return mult * np.array([profile(y) for y in np.sqrt(np.maximum(x, 0.0)) / lam])
+
+            for _ in range(3):
+                v = rng.integers(0, 2, size=G.shape[0]) * 2.0 - 1.0
+                want = float(np.sum(np.abs(U.conj().T @ v) ** 2 * f(mu)))
+                assert _lanczos_quadrature(G, v, f) == pytest.approx(want, rel=1e-12)
+
+    def test_heat_and_action_above_dense_limit(self):
+        # both entry points go stochastic on the same non-collinear window and
+        # land within 4 standard errors of its dense trace
+        n, K, lam, terms = _CHIRAL_CASES["n2-noncollinear-complex"]
+        th, A = theta_block(n), OneForm.from_terms(n, terms)
+        sgauss = CutoffProfile.super_gaussian()
+        pairs = [(heat_trace(n, lam ** -2, theta=th, A=A, window_K=K, dense_limit=100),
+                  heat_trace(n, lam ** -2, theta=th, A=A, window_K=K, method="dense-window")),
+                 (spectral_action(sgauss, lam, n, theta=th, A=A, window_K=K, dense_limit=100),
+                  spectral_action(sgauss, lam, n, theta=th, A=A, window_K=K))]
+        for stoch, dense in pairs:
+            assert stoch.method == "hutchinson" and dense.method == "dense-window"
+            assert stoch.stderr > 0 and dense.stderr == 0
+            assert abs(stoch.value - dense.value) <= 4.0 * stoch.stderr
+
+    @pytest.mark.parametrize("probes", [1, 0])
+    def test_probe_count_validated(self, probes):
+        th = theta_block(2)
+        A = OneForm.from_terms(2, [(1, (1, 0), 0.3), (2, (0, 1), 0.2j)])
+        with pytest.raises(ValueError, match="probes"):
+            heat_trace(2, 0.8, theta=th, A=A, window_K=3, dense_limit=10, probes=probes)
 
 
 class TestCosmologicalTerm:

@@ -284,6 +284,18 @@ class TestActionRuns:
         assert time.perf_counter() - start < 1.0
         assert "20402" in capsys.readouterr().err
 
+    def test_heat_rejects_stochastic_window_before_assembly(self, tmp_path, capsys):
+        # the default t grid starts at t = 1e-4, whose window (K = 651) has a basis of
+        # 3,395,618 for this non-collinear form, far above the stochastic limit
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2, "one_form": [[1, [1, 0], 0.3, 0.0],
+                                                        [2, [0, 1], 0.2, 0.0]]}))
+        start = time.perf_counter()
+        code = run_cli(["action", "heat", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_PRECONDITION
+        assert time.perf_counter() - start < 1.0
+        assert "3395618 exceeds stochastic limit" in capsys.readouterr().err
+
     def test_fit_preflight_rejects_lattice_box_before_summing(self, tmp_path, capsys):
         # the r = 3 rational profile needs a box of side 10343 at lam = 24; the
         # smaller scales of the default grid alone would take most of a minute

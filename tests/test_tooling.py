@@ -1,6 +1,7 @@
 """Source hygiene checks that stand in for a linter."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,22 @@ def test_leaf_flags_are_read():
              if isinstance(key, ast.Constant) and str(key.value).startswith("--")]
     assert flags and [flag for flag in flags
                       if flag[2:].replace("-", "_") not in args_reads] == []
+
+
+def tracer_table(name: str):
+    """A name table of the benchmark's tracer, read without importing it."""
+    tree = ast.parse((TESTS.parent / "bench" / "tracer.py").read_text())
+    node = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name for t in node.targets))
+    return ast.literal_eval(node)
+
+
+def test_traced_names_exist():
+    # the tracer patches by lookup, so a renamed or deleted name breaks `--trace 1`
+    missing = [f"{mod}.{attr}" for mod, attr in tracer_table("_FUNCTIONS")
+               if not hasattr(importlib.import_module("ncspectral." + mod), attr)]
+    for mod, cls, attr in tracer_table("_METHODS"):
+        klass = getattr(importlib.import_module("ncspectral." + mod), cls, None)
+        if klass is None or attr not in vars(klass):
+            missing.append(f"{mod}.{cls}.{attr}")
+    assert missing == []

@@ -252,6 +252,39 @@ class TestEvaluate:
         assert math.isfinite(res.est_error) and res.est_error > 0
 
 
+def hurwitz_reference(a, s):
+    """n = 1, P = 1 series at a non-integral twist a, by the functional equation.
+
+    f_a(s) = pi^{s-1/2} Gamma((1-s)/2) / Gamma(s/2) sum_m |m - a|^{s-1}, and the
+    sum over Z is zeta(1-s, a) + zeta(1-s, 1-a) (Hurwitz) for 0 < a < 1.
+    """
+    s, a = mpmath.mpc(s), mpmath.mpf(a)
+    return complex(mpmath.pi ** (s - 0.5) * mpmath.gamma((1 - s) / 2) / mpmath.gamma(s / 2)
+                   * (mpmath.zeta(1 - s, a) + mpmath.zeta(1 - s, 1 - a)))
+
+
+_FE_TWISTS = [0.3, 0.5, 0.17, 0.71, 0.999] + [10.0 ** -k for k in range(2, 9)]
+_FE_S = [0.5, -1.5, -3.2, 2.5, 0.25 + 1j, -0.7 + 2j, 3.7]
+
+
+class TestFunctionalEquation:
+    @pytest.mark.parametrize("a", [9e-10, 1e-12])
+    @pytest.mark.parametrize("s", [0.5, -1.5, 3.2, 0.999])
+    def test_near_integral_twist_not_snapped(self, a, s):
+        # within 1e-9 of Z the twist used to be taken as integral: a = 9e-10 at
+        # s = 0.5 gave -2.92 against 33,330.41
+        res = evaluate(TwistedSeries(1, {(0,): 1.0}, (a,)), s)
+        want = hurwitz_reference(a, s)
+        assert abs(res.value - want) <= min(res.est_error, 1e-13 * abs(want))
+
+    @pytest.mark.parametrize("a", _FE_TWISTS)
+    def test_error_estimate_bounds_gap(self, a):
+        for s in _FE_S:
+            res = evaluate(TwistedSeries(1, {(0,): 1.0}, (a,)), s)
+            gap = abs(res.value - hurwitz_reference(a, s))
+            assert gap <= res.est_error <= 1e-12 * abs(res.value), (s, gap, res.est_error)
+
+
 class TestResidue:
     def test_circle_and_three_sphere(self):
         z2 = TwistedSeries(2, {(0, 0): 1.0})
