@@ -13,10 +13,10 @@ eigenvalues are the squared window eigenvalues.  In even n the operator
 anticommutes with the chirality, so G is C* C of its chiral block C, at half
 the window size, and each singular value of C stands for the eigenvalue pair
 +-sigma; odd n squares the window matrix.  The trace is one spectral function
-of G, evaluated by one of three quadratures: exactly over the connected blocks
-of G when the one-form's support is collinear, exactly over the whole of G
-when the full window basis is within the dense limit, and otherwise, for any
-profile, by stochastic Lanczos quadrature over Rademacher probes with a
+of G, evaluated by one of three quadratures: exactly by a banded solve per
+lattice line when the one-form's support is collinear, exactly over the whole
+of G when the full window basis is within the dense limit, and otherwise, for
+any profile, by stochastic Lanczos quadrature over Rademacher probes with a
 standard error.  One outside-window tail bound is added to each.
 Unperturbed traces are lattice sums, and every lattice-sum decision (direct
 or Poisson-dual side, box enumeration and its memory guard, the integral-twist
@@ -117,7 +117,16 @@ class CutoffProfile:
             return cls.rational_decay(params.get("r", 3.0))
         raise ValueError(f"unknown profile preset {name!r}")
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
+        """profile(|x|) for a float, or entrywise for an array.
+
+        An array maps the preset's scalar function over its entries, so every
+        value is the libm value of a scalar call; numpy's vector exp and pow
+        differ from it in the last bit.
+        """
+        if isinstance(x, np.ndarray):
+            vals = map(self.fn, np.abs(x).ravel().tolist())
+            return np.fromiter(vals, float, x.size).reshape(x.shape)
         return self.fn(abs(x))
 
     @property
@@ -243,15 +252,17 @@ def _perturbed_trace(profile: CutoffProfile, lam: float, A: OneForm,
     The trace is one spectral function f(mu) = mult * profile(sqrt(mu) / lam)
     of the Gram matrix G of `_chiral_gram`, whose eigenvalues mu are the squared
     |eigenvalues| of the window matrix (so the profile must be even).  A
-    collinear support splits G into lattice lines along its direction, cut where
-    sin(1/2 h.Theta k) vanishes (chain-window).  A full window basis N within
+    collinear support splits G into the lattice lines k0 + Z d along its
+    direction d, and `_line_eigenvalues` makes one banded solve per lattice line
+    (chain-window).  A full window basis N within
     the dense limit, or a forced dense path, diagonalizes G whole
     (dense-window).  Otherwise the mean of Lanczos quadratures over probes
     estimates it (hutchinson, with a standard error), on a window checked
     against `DEFAULT_BASIS_LIMIT` before it is built.
     """
     N = _window_basis(A.n, K)
-    chain = method != "dense-window" and _collinear_direction(A) is not None
+    d = None if method == "dense-window" else _collinear_direction(A)
+    chain = d is not None
     if method == "chain" and not chain:
         raise WindowError("chain method needs a nonzero one-form with collinear support")
     stochastic = method == "auto" and not chain and N > dense_limit
@@ -262,7 +273,7 @@ def _perturbed_trace(profile: CutoffProfile, lam: float, A: OneForm,
     G, mult = _chiral_gram(M, window)
 
     def f(mu):
-        return mult * np.array([profile(x) for x in np.sqrt(np.maximum(mu, 0.0)) / lam])
+        return mult * profile(np.sqrt(np.maximum(mu, 0.0)) / lam)
 
     tail = _outside_tail(profile, lam, A, K)
     if stochastic:  # Rademacher probes from a fixed seed
@@ -271,7 +282,7 @@ def _perturbed_trace(profile: CutoffProfile, lam: float, A: OneForm,
                    for _ in range(probes)]
         return (float(np.mean(samples)), tail, "hutchinson",
                 float(np.std(samples, ddof=1)) / math.sqrt(probes))
-    mu = _block_eigenvalues(G) if chain else np.linalg.eigvalsh(G.toarray())
+    mu = _line_eigenvalues(G, window.grid, d) if chain else np.linalg.eigvalsh(G.toarray())
     return float(np.sum(f(mu))), tail, "chain-window" if chain else "dense-window", 0.0
 
 
@@ -325,38 +336,69 @@ def _chiral_gram(M, window: ModeWindow) -> tuple[csr_matrix, int]:
     return (C.conj().T @ C).tocsr(), 2
 
 
-def _block_eigenvalues(M) -> np.ndarray:
-    """Eigenvalues of a sparse hermitian matrix, one connected block at a time.
+def _line_eigenvalues(G, grid: np.ndarray, d: tuple[int, ...]) -> np.ndarray:
+    """Eigenvalues of a hermitian window operator that moves modes only along d.
 
-    The pattern is |M| > 0, so purely imaginary entries stay edges and no
-    complex data reaches csgraph, which would cast it to real.
+    Such an operator is block-diagonal over the lattice lines k0 + Z d of the
+    window, with G.shape[0] // len(grid) components per mode.  The 2x2 minors
+    k_i d_j - k_j d_i are constant on a line and, d being primitive, differ
+    between lines, so one lexsort on them (then on k.d) lays every line out as
+    one run of consecutive modes; a window is convex, so consecutive modes of
+    a run differ by d.  Permuted so, G is one band per line.  Its bandwidth b
+    is read off the permuted pattern, one lower band array (b+1, N) is filled,
+    and each line's column slice goes to LAPACK's hermitian band eigensolver
+    (hbevd).  Zeros where sin(1/2 h.Theta k) vanishes simply sit in the band.
     """
-    from scipy.sparse.csgraph import connected_components
+    from scipy.linalg import LinAlgError, get_lapack_funcs
 
-    _, labels = connected_components(abs(M) > 0, directed=False)
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels)
-    ends = np.cumsum(sizes)
-    P = M[order][:, order]
-    return np.concatenate([np.linalg.eigvalsh(P[a:b, a:b].toarray())
-                           for a, b in zip(ends - sizes, ends)])
+    d = np.asarray(d, dtype=np.int64)
+    i, j = np.triu_indices(len(d), 1)
+    minors = grid[:, i] * d[j] - grid[:, j] * d[i]
+    order = np.lexsort((grid @ d, *minors.T))
+    ends = np.flatnonzero(np.any(np.diff(minors[order], axis=0) != 0, axis=1)) + 1
+    comps = G.shape[0] // len(grid)
+    perm = (order[:, None] * comps + np.arange(comps)).ravel()  # new position -> old index
+    where = np.empty_like(perm)
+    where[perm] = np.arange(len(perm))
+    coo = G.tocoo()
+    row, col = where[coo.row], where[coo.col]
+    low = row >= col
+    offset = row[low] - col[low]
+    b = int(offset.max(initial=0))
+    bounds = comps * np.concatenate([[0], ends, [len(grid)]])
+    line = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    if np.any((line[row] != line[col]) & (coo.data != 0)):
+        raise ValueError(f"operator couples different lattice lines along {tuple(d)}")
+    band = np.zeros((b + 1, len(perm)), dtype=complex, order="F")
+    band[offset, col[low]] = coo.data[low]
+    hbevd = get_lapack_funcs("hbevd", (band,))
+    eigs = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        w, _, info = hbevd(band[:min(b, hi - lo - 1) + 1, lo:hi], compute_v=0, lower=1)
+        if info:
+            raise LinAlgError(f"hbevd failed on a line of {hi - lo} rows (info {info})")
+        eigs.append(w)
+    return np.concatenate(eigs)
 
 
 def _outside_tail(profile: CutoffProfile, lam: float, A: OneForm, K: int) -> float:
     """Bound on the trace outside a radius-K window.
 
     Each eigenvalue lies within shift = 2 sum |A| of a flat one, so the bound
-    sums 2^m profile((j - shift) / lam) over the shells |k|_inf = j > K.
+    sums 2^m profile((j - shift) / lam) over the shells |k|_inf = j > K, until a
+    shell adds less than 1e-18 of the sum; raises MomentError when none does
+    within 100000 shells.
     """
     n = A.n
     shift = 2.0 * sum(abs(v) for c in A.components for _, v in c.items())
     total = 0.0
-    for j in range(K + 1, K + 10_000):
+    for j in range(K + 1, K + 100_000):
         term = 2 * n * (2 * j + 1) ** (n - 1) * profile.fn(max(j - shift, 0.0) / lam)
         total += term
         if term < 1e-18 * (1.0 + total):
-            break
-    return (2 ** (n // 2)) * total
+            return (2 ** (n // 2)) * total
+    raise MomentError(f"outside-window tail of the {profile.name} profile still grows "
+                      f"after 100000 shells beyond K = {K} in dimension {n}")
 
 
 def twisted_heat_trace(a: FourierElement, b: FourierElement, theta: DeformationMatrix,
@@ -442,12 +484,17 @@ def spectral_action(profile: CutoffProfile, lam: float, n: int,
     Unperturbed Gaussian runs through the heat-trace code path at t = 1/lam^2;
     other unperturbed profiles are summed directly over the lattice.  With a
     perturbation the one perturbed-trace engine (`_perturbed_trace`) evaluates
-    the profile on the chiral Gram matrix: exactly on chain blocks or the dense
-    window, and stochastically, for any profile and with a standard error, when
-    a non-collinear support's full window basis exceeds the dense limit.
+    the profile on the chiral Gram matrix: exactly by a banded solve per lattice
+    line or on the dense window, and stochastically, for any profile and with a
+    standard error, when a non-collinear support's full window basis exceeds the
+    dense limit.  A rational profile with 2r <= n raises MomentError before any
+    window is built, as the trace diverges.
     """
     if lam <= 0:
         raise ValueError("cutoff scale must be positive")
+    if profile.name == "rational" and 2 * profile.params[0] <= n:
+        # Tr (1 + D^2 / lam^2)^-r diverges: the modes below |k| grow like |k|^n
+        raise MomentError("rational profile too slowly decaying for this dimension")
     if A is None or A.is_zero():
         if profile.name == "gaussian":
             hs = heat_trace(n, 1.0 / lam ** 2)
@@ -478,15 +525,13 @@ def _profile_lattice_sum(profile: CutoffProfile, lam: float, n: int) -> tuple[fl
     The bound is the outside-window bound of the radius-R box summed here, plus
     1e-16 of the sum for rounding.
     """
-    if profile.name == "rational" and 2 * profile.params[0] <= n:
-        raise MomentError("rational profile too slowly decaying for this dimension")
     R = _profile_window_radius(profile, lam)
     check_lattice_box(n, R)  # before the shell table below is allocated
     w = np.full(n * R * R + 1, np.nan)
 
     def weight(nsq):  # profile(|k| / lam), evaluated once per occupied shell |k|^2
         new = np.unique(nsq[np.isnan(w[nsq])])
-        w[new] = [profile.fn(x) for x in np.sqrt(new) / lam]
+        w[new] = profile(np.sqrt(new) / lam)
         return w[nsq]
 
     shells, _ = _lattice_shell_sums(TwistedSeries(n, {(0,) * n: 1.0}), R, weight)

@@ -146,6 +146,11 @@ class ModeWindow:
         return key
 
     @property
+    def grid(self) -> np.ndarray:
+        """The points as an (len(points), n) int64 array, in `points` order."""
+        return self._grid
+
+    @property
     def basis_size(self) -> int:
         return len(self.points) * self.spinor_dim
 

@@ -248,9 +248,9 @@ def _dual_radius(t: float, p: int, log_eps: float = _LOG_EPS) -> float:
 def _dual_points(series: TwistedSeries, rho: float) -> np.ndarray:
     """All m in Z^n with |a - m| <= rho (Euclidean), as an (N, n) int array."""
     a = np.array(series.twist)
-    ranges = [np.arange(int(math.ceil(aj - rho)), int(math.floor(aj + rho)) + 1)
-              for aj in a]
-    grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, series.n)
+    lo, hi = np.ceil(a - rho).astype(np.int64), np.floor(a + rho).astype(np.int64)
+    # the box lo <= m <= hi in lexicographic order, last coordinate fastest
+    grid = np.indices(hi - lo + 1).reshape(series.n, -1).T + lo
     b = a[None, :] - grid
     keep = np.sum(b * b, axis=1) <= rho * rho
     return grid[keep]

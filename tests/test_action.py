@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from ncspectral.action import (
     tau_F_squared,
     twisted_heat_trace,
 )
-from ncspectral.action import (_block_eigenvalues, _chiral_gram, _collinear_direction,
-                               _lanczos_quadrature)
+from ncspectral.action import (_chiral_gram, _collinear_direction, _lanczos_quadrature,
+                               _line_eigenvalues, _outside_tail)
 from ncspectral.clifford import build_gamma
 from ncspectral.diophantine import golden_ratio, jarnik_construct, power_profile
 from ncspectral.operators import (
@@ -249,6 +250,24 @@ class TestSpectralAction:
             want = 2.0 * (math.fsum(rows) + math.pi * lam ** 6 / (2 * R ** 4))
             assert 0.0 < want - res.value <= res.tail_bound <= 10.0 * (want - res.value)
 
+    def test_divergent_rational_raises_before_window(self):
+        # Tr (1 + D^2 / lam^2)^-1 has no finite value in n = 2; without window_K the
+        # policy radius is 10^7, a window of (2 10^7 + 1)^2 modes
+        th = theta_block(2)
+        A = OneForm.from_terms(2, [(1, (1, 0), 0.4)])
+        for K in (6, None):
+            start = time.perf_counter()
+            with pytest.raises(MomentError, match="too slowly decaying"):
+                spectral_action(CutoffProfile.rational_decay(1.0), 1.0, 2, theta=th, A=A,
+                                window_K=K)
+            assert time.perf_counter() - start < 1.0
+
+    def test_unsettled_tail_raises(self):
+        # r = 3 converges in n = 4, but its shells fall only like j^-3: none adds
+        # less than 1e-18 of the sum within the shell budget
+        with pytest.raises(MomentError, match="still grows"):
+            _outside_tail(CutoffProfile.rational_decay(3.0), 1.0, OneForm.zero(4), 5)
+
     def test_gauge_invariance_chain_path(self):
         from ncspectral.operators import gauge_transform
 
@@ -299,7 +318,7 @@ class TestChainDecomposition:
         window = ModeWindow(2, 4, spinor_dim=2)
         for z in (0.4 - 0.2j, 0.3j):
             DA = covariant_dirac(OneForm.from_terms(2, [(1, (0, 1), z)]), th)
-            chain = np.sort(_block_eigenvalues(assemble_sparse(DA, window)))
+            chain = np.sort(_line_eigenvalues(assemble_sparse(DA, window), window.grid, (0, 1)))
             dense = np.linalg.eigvalsh(assemble_dense(DA, window))
             assert np.allclose(chain, dense, atol=1e-11)
 
@@ -310,6 +329,7 @@ _CHIRAL_CASES = {
     "n2-collinear-real": (2, 6, 2.0, [(1, (1, 0), 0.4)]),
     "n2-collinear-imag": (2, 6, 2.0, [(1, (0, 1), 0.3j)]),
     "n2-collinear-complex": (2, 6, 2.0, [(2, (1, 1), 0.3 - 0.2j), (1, (2, 2), 0.1j)]),
+    "n2-collinear-hop-2": (2, 6, 2.0, [(1, (1, 0), 0.3 + 0.1j), (2, (2, 0), 0.2j)]),
     "n2-noncollinear-real": (2, 6, 2.0, [(1, (1, 0), 0.3), (2, (0, 1), 0.25)]),
     "n2-noncollinear-imag": (2, 6, 2.0, [(1, (1, 0), 0.3j), (2, (0, 1), -0.2j)]),
     "n2-noncollinear-complex": (2, 6, 2.0, [(1, (1, 0), 0.3 + 0.1j), (2, (1, 1), 0.2 - 0.3j)]),
@@ -488,6 +508,43 @@ class TestConstantTerm:
             tau = tau_F_squared(A, th)
             assert abs(tau.imag) < 1e-12 * max(1.0, abs(tau))
             assert tau.real <= 1e-12
+
+
+class TestLineEngine:
+    @pytest.mark.parametrize("case", [c for c in _CHIRAL_CASES if "-collinear" in c])
+    def test_gram_eigenvalues_match_eigvalsh(self, case):
+        # oracle: eigvalsh of the whole Gram matrix; TestChiralRoute checks the traces.
+        # Every window holds the line k_perp = 0, where sin(1/2 h.Theta k) vanishes
+        # for every hop and the band is zero off the diagonal.
+        n, K, _, terms = _CHIRAL_CASES[case]
+        th = THETA_3 if n == 3 else theta_block(n)
+        A = OneForm.from_terms(n, terms)
+        window = ModeWindow(n, K, spinor_dim=2 ** (n // 2))
+        G, _ = _chiral_gram(assemble_sparse(covariant_dirac(A, th), window), window)
+        mu = np.sort(_line_eigenvalues(G, window.grid, _collinear_direction(A)))
+        want = np.linalg.eigvalsh(G.toarray())
+        assert np.max(np.abs(mu - want)) <= 1e-12 * np.max(want)
+
+    def test_rejects_operator_off_the_lines(self):
+        # hops along e_1 and e_2 couple the lines of d = (1, 0): no silent band cut
+        A = OneForm.from_terms(2, [(1, (1, 0), 0.3), (2, (0, 1), 0.25)])
+        window = ModeWindow(2, 3, spinor_dim=2)
+        G, _ = _chiral_gram(assemble_sparse(covariant_dirac(A, theta_block(2)), window), window)
+        with pytest.raises(ValueError, match="couples different lattice lines"):
+            _line_eigenvalues(G, window.grid, (1, 0))
+
+    def test_chain_path_never_calls_eigvalsh(self, monkeypatch):
+        # the chain path solves bands only; a dense per-block fallback would call eigvalsh
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvalsh called on the chain path")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        th = theta_block(2)
+        A = OneForm.from_terms(2, [(1, (1, 0), 0.3 + 0.1j), (2, (2, 0), 0.2j)])
+        hs = heat_trace(2, 0.16, theta=th, A=A, method="chain")
+        sa = spectral_action(CutoffProfile.gaussian(), 2.5, 2, theta=th, A=A)
+        assert hs.method == sa.method == "chain-window"
+        assert hs.value > 0 and sa.value > 0
 
 
 class TestHutchinson:

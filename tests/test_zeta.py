@@ -19,6 +19,7 @@ from ncspectral.zeta import (
     zeta_D,
     zeta_D_residue,
 )
+from ncspectral.zeta import _dual_points
 
 mpmath.mp.dps = 30
 
@@ -134,6 +135,22 @@ class TestPoissonDual:
                 noise = 1e-13 * gross_scale(s, t)
                 assert abs(theta_sum(s, t)) <= noise + 1e-14
                 assert abs(poisson_dual(s, t)) <= noise + 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_dual_points_match_brute_force(self, n):
+        # oracle: every m of a box around all twists, kept when |a - m| <= rho, in
+        # lexicographic (itertools.product) order
+        rng = np.random.default_rng(40 + n)
+        twists = [(0.0,) * n, (0.5,) * n, tuple(rng.uniform(-1.5, 1.5, size=n)),
+                  tuple(rng.uniform(-0.2, 0.2, size=n))]
+        for twist in twists:
+            for rho in (1e-3, 0.3, 1.0, 2.7):
+                box = range(-5, 6)
+                want = [m for m in itertools.product(box, repeat=n)
+                        if sum((a - mj) * (a - mj) for a, mj in zip(twist, m)) <= rho * rho]
+                got = _dual_points(TwistedSeries(n, {(0,) * n: 1.0}, twist), rho)
+                assert got.shape == (len(want), n)
+                assert [tuple(m) for m in got.tolist()] == want
 
     def test_two_sided_identity_with_twist(self):
         s = TwistedSeries(2, {(1, 1): 1.0}, (0.23, 0.41))
