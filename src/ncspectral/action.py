@@ -19,7 +19,7 @@ of G when the full window basis is within the dense limit, and otherwise, for
 any profile, by stochastic Lanczos quadrature over Rademacher probes with a
 standard error.  One outside-window tail bound is added to each.
 Unperturbed traces are lattice sums, and every lattice-sum decision (direct
-or Poisson-dual side, box enumeration and its memory guard, the integral-twist
+or Poisson-dual side, shell sums and their box guard, the integral-twist
 test) is made in `zeta`; this module only calls it.
 
 The integrals are computed exactly: the diagonal amplitude of the q-th power
@@ -385,18 +385,31 @@ def _outside_tail(profile: CutoffProfile, lam: float, A: OneForm, K: int) -> flo
     """Bound on the trace outside a radius-K window.
 
     Each eigenvalue lies within shift = 2 sum |A| of a flat one, so the bound
-    sums 2^m profile((j - shift) / lam) over the shells |k|_inf = j > K, until a
-    shell adds less than 1e-18 of the sum; raises MomentError when none does
-    within 100000 shells.
+    sums f(j) = 2^m 2n (2j + 1)^{n-1} profile((j - shift) / lam) over the shells
+    |k|_inf = j > K until a shell adds less than 1e-18 of the sum.  A power-law
+    tail that is still above that after 100000 shells, but falling, gets the
+    integral of f from the last shell summed to infinity as the bound of its
+    rest; raises MomentError when f still grows there or the integral does not
+    converge.
     """
     n = A.n
     shift = 2.0 * sum(abs(v) for c in A.components for _, v in c.items())
+
+    def shell(x):
+        return 2 * n * (2 * x + 1) ** (n - 1) * profile.fn(max(x - shift, 0.0) / lam)
+
     total = 0.0
+    term = math.inf
     for j in range(K + 1, K + 100_000):
-        term = 2 * n * (2 * j + 1) ** (n - 1) * profile.fn(max(j - shift, 0.0) / lam)
+        prev, term = term, shell(j)
         total += term
         if term < 1e-18 * (1.0 + total):
             return (2 ** (n // 2)) * total
+    if term < prev:
+        # f rises then falls, so it falls on [j, inf) and its integral there bounds the rest
+        rest, err, *_ = quad(shell, j, np.inf, epsabs=0.0, epsrel=1e-10, limit=200, full_output=1)
+        if math.isfinite(rest) and err <= 1e-6 * rest:
+            return (2 ** (n // 2)) * (total + rest + err)
     raise MomentError(f"outside-window tail of the {profile.name} profile still grows "
                       f"after 100000 shells beyond K = {K} in dimension {n}")
 
@@ -526,15 +539,8 @@ def _profile_lattice_sum(profile: CutoffProfile, lam: float, n: int) -> tuple[fl
     1e-16 of the sum for rounding.
     """
     R = _profile_window_radius(profile, lam)
-    check_lattice_box(n, R)  # before the shell table below is allocated
-    w = np.full(n * R * R + 1, np.nan)
-
-    def weight(nsq):  # profile(|k| / lam), evaluated once per occupied shell |k|^2
-        new = np.unique(nsq[np.isnan(w[nsq])])
-        w[new] = profile(np.sqrt(new) / lam)
-        return w[nsq]
-
-    shells, _ = _lattice_shell_sums(TwistedSeries(n, {(0,) * n: 1.0}), R, weight)
+    shells, _ = _lattice_shell_sums(TwistedSeries(n, {(0,) * n: 1.0}), R,
+                                    lambda nsq: profile(np.sqrt(nsq) / lam))
     # the origin is not a shell
     total = (2 ** (n // 2)) * (profile.at_zero + float(np.sum(shells.real)))
     return total, _outside_tail(profile, lam, OneForm.zero(n), R) + 1e-16 * total

@@ -14,7 +14,10 @@ validates the whole machinery.
 
 Every lattice-sum decision lives here: `gaussian_sum` holds the direct/dual
 switch, `_hermite_power_coeffs` alone reads the Hermite table, `is_integral`
-is the integral-twist test and `check_lattice_box` the box-enumeration guard.
+is the integral-twist test and `check_lattice_box` the guard on the box of a
+direct sum.  Direct sums group the box by |k|^2 without enumerating it: a
+monomial factorizes over the axes, so its shell table is the convolution of
+one-axis tables indexed by k^2 (`_lattice_shell_sums`).
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ __all__ = [
 MAX_DEGREE = 6
 _LOG_EPS = 39.0  # ~ -ln(1e-17)
 _MAX_POINTS = 4.0e7
-_CHUNK_POINTS = 1 << 20
+_CHUNK_POINTS = 1 << 20  # pairs per slice of a shell-table fold, bounding its memory
 _INT_TOL = 1e-13  # float noise of the twists Theta q / 2 pi of a rational Theta
 # rounding of evaluate, relative to the magnitude summed: a dual term's power beta^alpha
 # has an exponent |alpha log beta| of up to about 100 for twists near 1e-12
@@ -158,66 +161,98 @@ def _direct_radius(t: float, n: int, p: int, log_eps: float = _LOG_EPS) -> int:
 
 
 def check_lattice_box(n: int, radius: int) -> None:
-    """Raise MemoryError when the box |k|_inf <= radius in Z^n is too large to enumerate.
+    """Raise MemoryError when a lattice sum over the box |k|_inf <= radius in Z^n is out of range.
 
-    The table of shells |k|^2 <= n radius^2 counts too; it is the larger one
-    only in dimension 1.
+    The box may hold at most _MAX_POINTS points, and the table of shells
+    |k|^2 <= n radius^2 at most as many entries; the table is the larger one
+    only in dimension 1.  Shell sums fold the box axis by axis and never
+    enumerate it, so the point count sizes no allocation: it fixes the scale,
+    t and degree at which every lattice sum stops with exit code 2.
     """
     side = 2 * radius + 1
     if max(side ** n, n * radius * radius) > _MAX_POINTS:
         raise MemoryError(
-            f"lattice enumeration of ({side})^{n} = {side ** n} points in "
+            f"lattice sum over ({side})^{n} = {side ** n} points in "
             f"{n * radius * radius + 1} shells exceeds the guard "
             f"of {_MAX_POINTS:.0e}; reduce the scale, t or the polynomial degree")
 
 
+_NO_SHELLS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
+
+
+def _fold(*products):
+    """Sum of the convolutions of sparse shell tables, as one sparse shell table.
+
+    A table is (idx, val): integer |k|^2 indices and the values found there.
+    Each product is a pair of tables; its convolution adds indices and
+    multiplies values over all pairs of entries.  The pairs are built in
+    slices of the second table, at most _CHUNK_POINTS pairs a slice, or one
+    entry a slice when the first table alone is longer.  Returns the nonzero
+    entries of the sum, in increasing index order.
+    """
+    products = [(a, b) for a, b in products if a[0].size and b[0].size]
+    if not products:
+        return _NO_SHELLS
+    lo = min(a[0][0] + b[0][0] for a, b in products)
+    hi = max(a[0][-1] + b[0][-1] for a, b in products)
+    out = np.zeros(hi - lo + 1, dtype=complex)
+    for (idx, val), (sq, ax) in products:
+        step = max(1, _CHUNK_POINTS // idx.size)
+        for i in range(0, sq.size, step):
+            np.add.at(out, np.add.outer(idx - lo, sq[i:i + step]),
+                      np.multiply.outer(val, ax[i:i + step]))
+    keep = np.flatnonzero(out)
+    return keep + lo, out[keep]
+
+
 def _lattice_shell_sums(series: TwistedSeries, radius: int, weight_fn):
-    """Accumulate sum_k P(k) e^{2 pi i k.a} w(|k|^2) grouped by integer |k|^2.
+    """Accumulate sum_k P(k) e^{2 pi i k.a} w(|k|^2) over the box |k|_inf <= radius, by |k|^2.
 
     Returns (shell_values complex array indexed by |k|^2, boundary_band sum)
-    where the boundary band collects |k|_inf in {radius-1, radius} as a tail
-    proxy.  Origin excluded.  The box is built and summed in chunks of about
-    _CHUNK_POINTS points along the first axis, so memory stays bounded.
+    where the boundary band collects |k|_inf in {radius-1, radius}, box(radius)
+    minus box(radius - 2), as a tail proxy.  Origin excluded.
+
+    The box is never enumerated.  A monomial c prod k_j^{e_j} factorizes over
+    the axes: each axis folds +-k into a table indexed by k^2 holding
+    sum_{+-k} k^{e_j} e^{2 pi i k a_j}, and the box sum by |k|^2 is the
+    convolution of these tables, taken one axis at a time (`_fold`).  The band
+    is folded beside the inner box: a point is in the band once one of its
+    coordinates is, so band' = band * axis + inner * outer part of the axis.
+    The cost is about n^2 radius^3 pairs per monomial, not (2 radius + 1)^n
+    points.  weight_fn is called once, on the occupied shells |k|^2 > 0.
     """
     n = series.n
     check_lattice_box(n, radius)
-    side = 2 * radius + 1
-    re = np.zeros(n * radius * radius + 1)
-    im = np.zeros_like(re)
-    band = 0.0
-    axis = np.arange(-radius, radius + 1)
-    twist = np.array(series.twist)
-    twisted = np.any(twist != 0.0)
-    # the other n - 1 coordinates in lexicographic order: one empty row when n = 1
-    rest = np.indices((side,) * (n - 1)).reshape(n - 1, side ** (n - 1)).T - radius
-    step = max(1, _CHUNK_POINTS // rest.shape[0])
-    for lo in range(0, side, step):
-        first = axis[lo:lo + step]
-        coords = np.concatenate([np.repeat(first, rest.shape[0]).reshape(-1, 1),
-                                 np.tile(rest, (first.size, 1))], axis=1)
-        nsq = np.sum(coords * coords, axis=1)
-        mask = nsq > 0
-        coords = coords[mask]
-        nsq = nsq[mask]
-        cf = coords.astype(float)
-        pv = np.zeros(coords.shape[0], dtype=complex)
-        for e, c in series.poly.items():
-            term = np.full(coords.shape[0], complex(c))
-            for j, ej in enumerate(e):
-                if ej:
-                    term = term * cf[:, j] ** ej
-            pv += term
-        if twisted:
-            pv = pv * np.exp(2j * math.pi * (cf @ twist))
-        vals = pv * weight_fn(nsq)
-        part = np.bincount(nsq, weights=vals.real)
-        re[:part.size] += part
-        part = np.bincount(nsq, weights=vals.imag)
-        im[:part.size] += part
-        edge = np.max(np.abs(coords), axis=1) >= radius - 1
-        if np.any(edge):
-            band += float(np.abs(np.sum(vals[edge])))
-    return re + 1j * im, band
+    m = np.arange(radius + 1)
+    mf = m.astype(float)
+    sq = m * m
+    cut = max(radius - 1, 0)  # entries [:cut] of an axis have |k_j| <= radius - 2
+    phases = np.exp(2j * math.pi * np.outer(series.twist, mf))
+    shells = np.zeros(n * radius * radius + 1, dtype=complex)
+    bands = []
+    for e, c in series.poly.items():
+        axes = []
+        for ph, ej in zip(phases, e):
+            ax = mf ** ej * (ph + (-1) ** ej * ph.conj())
+            ax[0] = 1.0 if ej == 0 else 0.0  # k_j = 0 is one point, not a +-pair
+            axes.append(ax)
+        inner, band = (sq[:cut], c * axes[0][:cut]), (sq[cut:], c * axes[0][cut:])
+        for ax in axes[1:]:
+            inner, band = (_fold((inner, (sq[:cut], ax[:cut]))),
+                           _fold((band, (sq, ax)), (inner, (sq[cut:], ax[cut:]))))
+        for idx, val in (inner, band):
+            shells[idx] += val
+        bands.append(band)
+    shells[0] = 0.0  # the origin is not a shell
+    band_idx = np.concatenate([idx for idx, _ in bands])
+    band_val = np.concatenate([val for _, val in bands])[band_idx > 0]
+    band_idx = band_idx[band_idx > 0]
+    occupied = shells != 0.0
+    occupied[band_idx] = True
+    occupied = np.flatnonzero(occupied)
+    w = weight_fn(occupied)
+    shells[occupied] *= w
+    return shells, float(np.abs(np.sum(band_val * w[np.searchsorted(occupied, band_idx)])))
 
 
 def _fsum_complex(values) -> complex:

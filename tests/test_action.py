@@ -262,11 +262,36 @@ class TestSpectralAction:
                                 window_K=K)
             assert time.perf_counter() - start < 1.0
 
-    def test_unsettled_tail_raises(self):
+    def test_power_law_tail_bounded_past_shell_budget(self):
         # r = 3 converges in n = 4, but its shells fall only like j^-3: none adds
-        # less than 1e-18 of the sum within the shell budget
-        with pytest.raises(MomentError, match="still grows"):
-            _outside_tail(CutoffProfile.rational_decay(3.0), 1.0, OneForm.zero(4), 5)
+        # less than 1e-18 of the sum within the shell budget, so the rest past the
+        # last shell is bounded by an integral; reference: 2^2 sum_{j=6}^{2e6} 8 (2j+1)^3
+        # (1 + j^2)^-3, whose own rest is about 4 * 32 / (2e6)^2 = 3.2e-11
+        bound = _outside_tail(CutoffProfile.rational_decay(3.0), 1.0, OneForm.zero(4), 5)
+        j = np.arange(6, 2_000_001, dtype=float)
+        want = 4.0 * float(np.sum(8.0 * (2.0 * j + 1.0) ** 3 * (1.0 + j * j) ** -3.0))
+        assert math.isfinite(bound)
+        assert want <= bound <= want + 1e-9
+
+    def test_growing_tail_raises(self):
+        # r = 1.5 in n = 4: the shells level off at 2 * 4 * 8 and the sum diverges;
+        # r = 1 makes them grow like j
+        for r in (1.5, 1.0):
+            with pytest.raises(MomentError, match="still grows"):
+                _outside_tail(CutoffProfile.rational_decay(r), 1.0, OneForm.zero(4), 5)
+
+    def test_rational_tail_past_shell_budget(self):
+        # lam = 12 in n = 2: the window radius is 2585 and the tail needs the integral
+        # bound; reference: the ball |k| <= R row by row plus the exact rest of the
+        # integral, 2 pi int_R^inf rho (1 + rho^2 / lam^2)^-3 d rho = pi lam^2 / (2 (1 + R^2 / lam^2)^2)
+        lam, R = 12.0, 3000
+        res = spectral_action(CutoffProfile.rational_decay(3.0), lam, 2)
+        rows = []
+        for k1 in range(-R, R + 1):
+            k2 = np.arange(-math.isqrt(R * R - k1 * k1), math.isqrt(R * R - k1 * k1) + 1)
+            rows.append(np.sum((1.0 + (k1 * k1 + k2 * k2) / lam ** 2) ** -3.0))
+        want = 2.0 * (math.fsum(rows) + math.pi * lam ** 2 / (2.0 * (1.0 + R * R / lam ** 2) ** 2))
+        assert 0.0 < want - res.value <= res.tail_bound <= 10.0 * (want - res.value)
 
     def test_gauge_invariance_chain_path(self):
         from ncspectral.operators import gauge_transform

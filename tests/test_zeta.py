@@ -19,7 +19,8 @@ from ncspectral.zeta import (
     zeta_D,
     zeta_D_residue,
 )
-from ncspectral.zeta import _dual_points
+from ncspectral import zeta
+from ncspectral.zeta import _dual_points, _lattice_shell_sums
 
 mpmath.mp.dps = 30
 
@@ -109,6 +110,80 @@ class TestThetaSum:
         s = TwistedSeries(1, {(0,): 1.0})
         with pytest.raises(ValueError):
             theta_sum(s, 0.0)
+
+
+def box_shells(series, radius, weight):
+    """Shell sums of the box |k|_inf <= radius by enumerating every point (np.indices).
+
+    Returns the weighted shell sums, the sum of |term| per shell and the terms
+    of the band |k|_inf >= radius - 1, origin excluded throughout.
+    """
+    n = series.n
+    k = np.indices((2 * radius + 1,) * n).reshape(n, -1).T - radius
+    nsq = np.sum(k * k, axis=1)
+    k, nsq = k[nsq > 0], nsq[nsq > 0]
+    kf = k.astype(float)
+    terms = sum(c * np.prod(kf ** np.array(e), axis=1) for e, c in series.poly.items())
+    terms = terms * np.exp(2j * math.pi * (kf @ np.array(series.twist))) * weight(nsq)
+    size = n * radius * radius + 1
+    shells = np.bincount(nsq, terms.real, size) + 1j * np.bincount(nsq, terms.imag, size)
+    gross = np.bincount(nsq, np.abs(terms), size)
+    return shells, gross, terms[np.max(np.abs(k), axis=1) >= radius - 1]
+
+
+def fold_polys(n):
+    """1, k1, k1 k2, k1^2 + 0.7 k2^2 and k1^3 k2 in dimension n (the first two when n = 1)."""
+    def mono(*e):
+        return tuple(e) + (0,) * (n - len(e))
+    polys = [{mono(0): 1.0}, {mono(1): 1.0}]
+    if n >= 2:
+        polys += [{mono(1, 1): 1.0}, {mono(2, 0): 1.0, mono(0, 2): 0.7}, {mono(3, 1): 1.0}]
+    return polys
+
+
+FOLD_CASES = [(n, P, twisted) for n in (1, 2, 3, 4) for P in fold_polys(n)
+              for twisted in (False, True)]
+
+
+class TestShellFold:
+    TWIST = (0.23, -0.41, 0.37, 0.11)
+
+    @staticmethod
+    def weight(nsq):
+        return 1.0 / (1.0 + nsq)
+
+    def check(self, series, radius, got, band):
+        want, gross, edge = box_shells(series, radius, self.weight)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * gross)
+        assert abs(band - abs(np.sum(edge))) <= 1e-12 * np.sum(np.abs(edge))
+
+    @pytest.mark.parametrize("n,P,twisted", FOLD_CASES)
+    def test_matches_box_enumeration(self, n, P, twisted):
+        series = TwistedSeries(n, P, self.TWIST[:n] if twisted else None)
+        for radius in (1, 2, 6):
+            calls = []
+
+            def weight(nsq):
+                calls.append(nsq)
+                return self.weight(nsq)
+
+            shells, band = _lattice_shell_sums(series, radius, weight)
+            self.check(series, radius, shells, band)
+            # one call, on the occupied shells only: every nonzero shell, never the origin
+            assert len(calls) == 1
+            assert np.all(np.diff(calls[0]) > 0) and calls[0].min(initial=1) > 0
+            assert set(np.flatnonzero(shells)) <= set(calls[0].tolist())
+
+    def test_chunk_cap_matches_uncapped(self, monkeypatch):
+        series = TwistedSeries(3, {(2, 0, 0): 1.0, (0, 2, 0): 0.7}, self.TWIST[:3])
+        whole, whole_band = _lattice_shell_sums(series, 6, self.weight)
+        monkeypatch.setattr(zeta, "_CHUNK_POINTS", 64)
+        capped, capped_band = _lattice_shell_sums(series, 6, self.weight)
+        self.check(series, 6, capped, capped_band)
+        _, gross, _ = box_shells(series, 6, self.weight)
+        assert np.all(np.abs(capped - whole) <= 1e-13 * gross)
+        assert capped_band == pytest.approx(whole_band, rel=1e-12)
 
 
 class TestPoissonDual:
