@@ -24,19 +24,20 @@ test) is made in `zeta`; this module only calls it.
 
 The integrals are computed exactly: the diagonal amplitude of the q-th power
 is expanded over Fourier shift paths with its sine factors split into
-exponentials (one twisted phase per sign choice).  On each path the spinor
-trace is a product of q linear factors with matrix coefficients, the product
-of inverse squared norms is expanded at large momentum in complete homogeneous
-polynomials, and the terms of homogeneity minus n go to
-`zeta.twisted_family_residue`, which keeps the sign choices with an integral
-twist.  No order past n - q holds a monomial of the degree a residue needs, so
-the expansion is exact and the reported order delta is identically 0.
-Finitely many modes where an intermediate momentum hits the kernel only shift
-holomorphic parts and cannot move residues.
+exponentials (one twisted phase per sign choice; `zeta.integral_mask` keeps
+those with an integral twist).  All zero-sum paths are contracted as arrays:
+the spinor trace of the q linear factors is a tensor with one index per factor
+(its constant or a k_nu), the inverse squared norms expand at large momentum in
+complete homogeneous polynomials held as tensors of the same indices, and a
+cached table of sphere moments (`zeta.sphere_moments`) of homogeneity minus n
+contracts the two.  No order past n - q holds a monomial of the degree a
+residue needs, so the expansion is exact and the order delta is identically 0.
+Modes where an intermediate momentum hits the kernel cannot move residues.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -49,10 +50,9 @@ from scipy.sparse import csr_matrix, identity, kron
 from .clifford import build_gamma
 from .operators import (DEFAULT_BASIS_LIMIT, ModeWindow, OneForm, WindowError, assemble_sparse,
                         covariant_dirac)
-from .polynomials import Poly, poly_mul
 from .weyl import DeformationMatrix, FourierElement, field_strength, multiply, trace
 from .zeta import (TwistedSeries, _lattice_shell_sums, check_lattice_box, gaussian_sum,
-                   twisted_family_residue, vol_sphere)
+                   integral_mask, sphere_moments, vol_sphere)
 
 __all__ = [
     "CutoffProfile",
@@ -79,6 +79,7 @@ __all__ = [
 _DENSE_LIMIT = 20_000
 _PROBES = 64
 _PROBE_SEED = 7
+_CHUNK_PATHS = 1 << 8  # candidate step tuples per slice of nc_integral_power, bounding its memory
 
 
 class MomentError(ValueError):
@@ -398,8 +399,7 @@ def _outside_tail(profile: CutoffProfile, lam: float, A: OneForm, K: int) -> flo
     def shell(x):
         return 2 * n * (2 * x + 1) ** (n - 1) * profile.fn(max(x - shift, 0.0) / lam)
 
-    total = 0.0
-    term = math.inf
+    total, term = 0.0, math.inf
     for j in range(K + 1, K + 100_000):
         prev, term = term, shell(j)
         total += term
@@ -423,10 +423,8 @@ def twisted_heat_trace(a: FourierElement, b: FourierElement, theta: DeformationM
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    n = theta.n
-    m = n // 2
-    total = 0j
-    tail = 0.0
+    n, m = theta.n, theta.n // 2
+    total, tail = 0j, 0.0
     for q, aq in a.items():
         bq = b.coeff(tuple(-c for c in q))
         if bq == 0:
@@ -627,67 +625,70 @@ def nc_integral_power(A: OneForm, theta: DeformationMatrix, q: int) -> NcIntegra
     """Residue at the origin of the trace of (perturbation x D^{-1})^q |D|^{-s}.
 
     A shift path h_1 + ... + h_q = 0 with partial sums c_j contributes the spinor
-    trace of prod_j gamma^{a_j} ((k + c_j).gamma) over prod_j |k + c_j|^2.  The
-    expansion stops at order n - q, exactly (see the module notes), so
-    `order_delta` is identically 0.  The tadpole q = 1 vanishes identically: no
-    single nonzero shift sums to zero.
+    trace of prod_j gamma^{a_j} ((k + c_j).gamma) over prod_j |k + c_j|^2; the
+    zero-sum paths of each slice of `_CHUNK_PATHS` candidate step tuples are
+    contracted at once.  `order_delta` is identically 0 (see the module notes).
+    The tadpole q = 1 vanishes identically: no single nonzero shift sums to zero.
     """
     n = A.n
     if not 1 <= q <= n:
         raise ValueError(f"power q must lie in 1..{n}")
-    gs = build_gamma(n)
-    gammas = np.array(gs.gammas)
-    zero = (0,) * n
-    # per step: gamma^a gamma^nu for every nu, the shift h and the coefficient v
-    steps = [(gs.gammas[ai] @ gammas, h, v) for ai, comp in enumerate(A.components)
-             for h, v in comp.items() if any(h)]
-    signs = list(itertools.product((-1, 1), repeat=q))
-    lift = np.vstack([np.zeros((1, n), dtype=int), np.eye(n, dtype=int)])  # exponents of 1, k_nu
-    linear = list(map(tuple, lift.tolist()))
-    total = 0j
-    for path in itertools.product(steps, repeat=q):
-        hs = [h for _, h, _ in path]
-        if any(map(sum, zip(*hs))):
+    steps = [(ai, h, v) for ai, comp in enumerate(A.components) for h, v in comp.items() if any(h)]
+    if not steps:
+        return NcIntegral(value=0j, order_delta=0.0, q=q)
+    axis, shifts, coeffs = map(np.array, zip(*steps))
+    gammas = np.array(build_gamma(n).gammas)
+    d, gg = gammas.shape[1], gammas[axis][:, None] @ gammas  # per step: gamma^a gamma^nu, all nu
+    signs = np.array(list(itertools.product((-1, 1), repeat=q)))
+    # numerator indices x H_r indices, with the sign of the r-th denominator order
+    tables = [(-1) ** r * _moment_table(n, q + r).reshape((n + 1) ** q, -1)
+              for r in range(n - q + 1)]
+    total, count = 0j, len(steps) ** q
+    for start in range(0, count, _CHUNK_PATHS):
+        path = np.stack(np.unravel_index(np.arange(start, min(start + _CHUNK_PATHS, count)),
+                                         (len(steps),) * q), axis=-1)
+        path = path[~shifts[path].sum(axis=1).any(axis=1)]
+        P, hs = len(path), shifts[path]
+        if not P:
             continue
-        c = np.cumsum([zero, *hs[:-1]], axis=0)  # partial sums c_j = h_1 + ... + h_{j-1}
-
-        # one term per sign choice sigma of the sine split: coefficient (prod sigma) e^{i phi},
-        # twist -Theta w / 4 pi with w = sum_j sigma_j h_j
-        phase = theta.bilinear_batch(np.array(hs), c).tolist()
-        twists = -(np.array(signs) @ np.array(hs) @ theta.theta.T) / (4.0 * math.pi)
-        terms = []
-        for sig, twist in zip(signs, twists):
-            phi = 0.5 * sum(s * b for s, b in zip(sig, phase))
-            terms.append((math.prod(sig) * complex(math.cos(phi), math.sin(phi)), twist))
-
-        # numerator: product of the linear factors gamma^a ((k + c).gamma), one row per
-        # choice of the constant or a k_nu in each factor, with its exponents in `exps`
-        mats = np.eye(gs.spinor_dim)[None]
-        exps = np.zeros((1, n), dtype=int)
-        for (gg, _, _), cj in zip(path, c):
-            factor = np.concatenate([np.tensordot(cj, gg, 1)[None], gg])
-            mats = (factor[:, None] @ mats[None]).reshape(-1, *mats.shape[1:])
-            exps = (lift[:, None] + exps[None]).reshape(-1, n)
-        numer: Poly = {}
-        for e, tr in zip(map(tuple, exps.tolist()), np.trace(mats, axis1=1, axis2=2)):
-            if tr:
-                numer[e] = numer.get(e, 0j) + tr
-
-        # denominator: 1 / prod_j |k + c_j|^2 = sum_r (-1)^r H_r(s) |k|^{-2q-2r}, with
-        # s_j = 2 k.c_j + |c_j|^2 and H_r complete homogeneous, built one factor at a time
-        H: list[Poly] = [{zero: 1.0}] + [{} for _ in range(n - q)]
-        for cj in c.tolist():
-            s = {e: v for e, v in zip(linear, [float(np.dot(cj, cj))] + [2.0 * x for x in cj])
-                 if v}
-            for r in range(1, len(H)):  # H_r += s H_{r-1}, the new H_{r-1}
-                for e, v in poly_mul(s, H[r - 1]).items():
-                    H[r][e] = H[r].get(e, 0.0) + v
-        pick: Poly = {e: (-1) ** r * v for r, h in enumerate(H)
-                      for e, v in poly_mul(numer, h).items() if sum(e) == 2 * q + 2 * r - n}
-
-        coeff = 1j ** q * math.prod(v for _, _, v in path)
-        total += coeff * twisted_family_residue(terms, pick, n)
+        c = np.cumsum(hs, axis=1) - hs  # partial sums c_j = h_1 + ... + h_{j-1}
+        # every contraction is row by row (einsum or a stacked product) and the paths are
+        # summed one at a time in order, so the slicing never changes the sum.  Sign choices
+        # sigma of the sine split: coefficient (prod sigma) e^{i phi} and twist -Theta w / 4 pi
+        # with w = sum_j sigma_j h_j; only integral twists leave a residue
+        phi = 0.5 * np.einsum("pj,sj->ps", theta.bilinear_batch(hs, c), signs)
+        twists = -np.einsum("psm,nm->psn", np.einsum("sj,pjn->psn", signs, hs),
+                            theta.theta) / (4.0 * math.pi)
+        kernel = np.where(integral_mask(twists), signs.prod(axis=1) * np.exp(1j * phi), 0).sum(1)
+        # numerator: the linear factors gamma^a ((k + c).gamma), index 0 for the constant and
+        # nu + 1 for k_nu, multiplied in order with the product laid out as (row, index tuple,
+        # column); the last factor is contracted straight into the trace
+        factors = np.concatenate([np.einsum("pjn,pjnab->pjab", c, gg[path])[:, :, None],
+                                  gg[path]], axis=2)
+        mats = np.broadcast_to(np.eye(d)[:, None], (P, d, 1, d))
+        for j in range(q - 1):
+            mats = (factors[:, j].reshape(P, -1, d) @ mats.reshape(P, d, -1)).reshape(
+                P, n + 1, d, -1, d).transpose(0, 2, 1, 3, 4).reshape(P, d, -1, d)
+        numer = (factors[:, -1].reshape(P, n + 1, d * d)
+                 @ mats.transpose(0, 3, 1, 2).reshape(P, d * d, -1)).reshape(P, -1)
+        # denominator: H_r += s_j H_{r-1} one factor at a time, s_j lifted as (|c_j|^2, 2 c_j)
+        lifts = np.concatenate([np.einsum("pjn,pjn->pj", c, c)[..., None], 2.0 * c], axis=2)
+        H = [np.ones((P, 1))] + [np.zeros((P, (n + 1) ** r)) for r in range(1, n - q + 1)]
+        for j, r in itertools.product(range(1, q), range(1, len(H))):
+            H[r] += (lifts[:, j, :, None] * H[r - 1][:, None]).reshape(P, -1)
+        pick = sum(np.einsum("pi,il,pl->p", numer, table, h) for table, h in zip(tables, H))
+        total = sum((1j ** q * np.prod(coeffs[path], axis=1) * kernel * pick).tolist(), total)
     return NcIntegral(value=total, order_delta=0.0, q=q)
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_table(n: int, m: int) -> np.ndarray:
+    """Sphere moment of the monomial of each tuple of m indices (0 for the constant 1, nu + 1
+    for k_nu), masked to the residue degree 2m - n, with the tuples in C order."""
+    exps = np.eye(n + 1, n, -1, dtype=np.int64)[np.indices((n + 1,) * m).reshape(m, -1).T].sum(1)
+    table = np.where(exps.sum(axis=1) == 2 * m - n, sphere_moments(exps, n), 0.0)
+    table.flags.writeable = False
+    return table
 
 
 def constant_term(A: OneForm, theta: DeformationMatrix) -> ConstantTerm:
@@ -704,8 +705,7 @@ def constant_term(A: OneForm, theta: DeformationMatrix) -> ConstantTerm:
 def tau_F_squared(A: OneForm, theta: DeformationMatrix) -> complex:
     """tau(F_{mu nu} F^{mu nu}) with flat metric contraction, from the algebra side."""
     F = field_strength(A, theta)
-    n = A.n
-    total = 0j
+    n, total = A.n, 0j
     for mu in range(n):
         for nu in range(n):
             if not F[mu][nu].is_zero():

@@ -335,6 +335,8 @@ def _cmd_action_constant_term(cfg: RunConfig, args) -> _Outcome:
     print(f"constant term = {ct.value.real:.10g}")
     if cfg.n == 4:
         print(f"-(4 pi^2 / 3) tau(F.F) = {target.real:.10g}")
+    if not theta.theta.any():
+        print("Theta = 0: left and right actions agree, so D_A = D and the constant term is 0")
     return rows, {"constant_term": ct.value, "per_q": {str(k): v for k, v in ct.per_q.items()},
                   "tau_FF": tau_ff, "target_n4": target}, EXIT_OK
 

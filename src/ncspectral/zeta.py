@@ -41,11 +41,13 @@ __all__ = [
     "poisson_dual",
     "gaussian_sum",
     "is_integral",
+    "integral_mask",
     "check_lattice_box",
     "evaluate",
     "residue",
     "residue_shifted",
     "sphere_integral",
+    "sphere_moments",
     "zeta_D",
     "zeta_D_residue",
     "twisted_family_residue",
@@ -137,9 +139,15 @@ class ShiftedResidue:
     flags: tuple[str, ...] = field(default=())
 
 
+def integral_mask(twists) -> np.ndarray:
+    """Whether each twist row (last axis) is an integer vector, up to rounding."""
+    tw = np.asarray(twists, dtype=float)
+    return np.all(np.abs(tw - np.rint(tw)) <= _INT_TOL, axis=-1)
+
+
 def is_integral(twist) -> bool:
     """Whether every entry of a twist vector is an integer, up to rounding."""
-    return all(abs(x - round(x)) <= _INT_TOL for x in twist)
+    return bool(integral_mask(twist))
 
 
 def vol_sphere(n: int) -> float:
@@ -152,11 +160,9 @@ def _direct_radius(t: float, n: int, p: int, log_eps: float = _LOG_EPS) -> int:
     c = max(n - 1 + p, 0)
     r = 2.0
     for _ in range(60):
-        r_new = math.sqrt((log_eps + t + c * math.log(r + 2.0)) / t)
-        if abs(r_new - r) < 1e-9:
-            r = r_new
+        r, r_old = math.sqrt((log_eps + t + c * math.log(r + 2.0)) / t), r
+        if abs(r - r_old) < 1e-9:
             break
-        r = r_new
     return max(1, int(math.ceil(r)))
 
 
@@ -272,11 +278,10 @@ def _dual_radius(t: float, p: int, log_eps: float = _LOG_EPS) -> float:
     """Ball radius in b = a - m making the dual Gaussian tail negligible."""
     rho = 1.0
     for _ in range(60):
-        rho_new = math.sqrt(t * (log_eps + p * math.log(max(math.pi * rho / math.sqrt(t), 2.0)) + 1.0)) / math.pi
-        if abs(rho_new - rho) < 1e-9:
-            rho = rho_new
+        rho, rho_old = math.sqrt(t * (log_eps + p * math.log(max(math.pi * rho / math.sqrt(t), 2.0))
+                                      + 1.0)) / math.pi, rho
+        if abs(rho - rho_old) < 1e-9:
             break
-        rho = rho_new
     return max(rho, 1e-3)
 
 
@@ -303,8 +308,7 @@ def poisson_dual(series: TwistedSeries, t: float) -> complex:
         raise ValueError("t must be positive")
     if series.degree > MAX_DEGREE:
         raise ValueError("unsupported degree")
-    n = series.n
-    p = series.degree
+    n, p = series.n, series.degree
     rho = _dual_radius(t, p)
     pts = _dual_points(series, rho)
     total = 0j
@@ -337,8 +341,7 @@ def _pole_coefficient(series: TwistedSeries) -> float:
     The continued series carries the pole term 2 kappa / (s - n - p); this is
     the Hermite-value route, independent of the gamma-function moment formula.
     """
-    n = series.n
-    p = series.degree
+    n, p = series.n, series.degree
     kappa = complex(_hermite_power_coeffs(series, np.zeros((1, n)))[0, 0])
     kappa *= math.pi ** (n / 2.0) * (0.5j) ** p
     if abs(kappa.imag) > 1e-12 * max(1.0, abs(kappa.real)):
@@ -382,8 +385,7 @@ def evaluate(series: TwistedSeries, s: complex, pole_guard: float = 1e-8) -> Con
     and constant terms on the small-t side, all divided by Gamma(s/2).
     """
     s = complex(s)
-    n = series.n
-    p = series.degree
+    n, p = series.n, series.degree
     pole = series.pole_location
     integer_twist = is_integral(series.twist)
     if integer_twist and abs(s - pole) < pole_guard and _pole_coefficient(series) != 0.0:
@@ -399,11 +401,8 @@ def evaluate(series: TwistedSeries, s: complex, pole_guard: float = 1e-8) -> Con
     shells, direct_band = _lattice_shell_sums(series, radius, lambda nsq: np.ones(len(nsq)))
     xs = np.nonzero(np.abs(shells) > 0)[0]
     half_s = 0.5 * s
-    direct_terms = []
-    for x in xs:
-        x = float(x)
-        direct_terms.append(shells[int(x)] * upper_gamma(half_s, x)
-                            * cmath.exp(-half_s * math.log(x)))
+    direct_terms = [shells[x] * upper_gamma(half_s, float(x)) * cmath.exp(-half_s * math.log(x))
+                    for x in xs.tolist()]
     I1 = _fsum_complex(direct_terms) if direct_terms else 0j
 
     # dual side: points b = a - m with b != 0
@@ -416,8 +415,7 @@ def evaluate(series: TwistedSeries, s: complex, pole_guard: float = 1e-8) -> Con
     bsq = bsq[keep].tolist()
     coeffs = _hermite_power_coeffs(series, b[keep]).T.tolist()
     pref = math.pi ** (n / 2.0) * (0.5j) ** p
-    dual_terms = []
-    dual_band = 0.0
+    dual_terms, dual_band = [], 0.0
     for x, row in zip(bsq, coeffs):
         beta = math.pi ** 2 * x
         local = 0j
@@ -488,22 +486,22 @@ def residue_shifted(n: int, poly: Poly, shift: float) -> ShiftedResidue:
                           has_pole=res != 0, flags=tuple(flags))
 
 
-def sphere_integral(poly: Poly, n: int) -> complex:
-    """Moment integral of a polynomial over the unit sphere in R^n.
+def sphere_moments(exps, n: int) -> np.ndarray:
+    """Moment integrals over the unit sphere in R^n of the monomials with exponent rows `exps`.
 
     Gamma-function route: a monomial prod u_j^{e_j} integrates to
     2 prod Gamma((e_j+1)/2) / Gamma((n + deg)/2) when every exponent is even,
     and to zero otherwise.
     """
-    total = 0j
-    for e, c in poly.items():
-        if any(ej % 2 for ej in e):
-            continue
-        num = 2.0
-        for ej in e:
-            num *= float(_gamma((ej + 1) / 2.0))
-        total += c * num * float(_rgamma((n + sum(e)) / 2.0))
-    return total
+    e = np.asarray(exps, dtype=np.int64).reshape(-1, n)
+    moment = 2.0 * np.prod(_gamma((e + 1) / 2.0), axis=1) * _rgamma((n + e.sum(axis=1)) / 2.0)
+    return np.where(np.any(e % 2, axis=1), 0.0, moment)
+
+
+def sphere_integral(poly: Poly, n: int) -> complex:
+    """Moment integral of a polynomial over the unit sphere in R^n (`sphere_moments`)."""
+    moments = sphere_moments(list(poly), n).tolist()
+    return complex(sum(c * m for c, m in zip(poly.values(), moments)))
 
 
 def zeta_D(s: complex, n: int, pole_guard: float = 1e-8) -> complex:
@@ -531,11 +529,10 @@ def twisted_family_residue(terms, poly: Poly, n: int) -> complex:
     Only terms whose twist vector is integral contribute; each contributes its
     coefficient times the sphere moment of P.
     """
-    kernel_sum = 0j
-    for c, twist in terms:
-        tw = tuple(float(x) for x in twist)
-        if len(tw) != n:
-            raise ValueError("twist vector length mismatch")
-        if is_integral(tw):
-            kernel_sum += complex(c)
-    return kernel_sum * sphere_integral(poly, n)
+    if not terms:
+        return 0j
+    coeffs = np.array([c for c, _ in terms], dtype=complex)
+    twists = np.array([tw for _, tw in terms], dtype=float)
+    if twists.shape[-1] != n:
+        raise ValueError("twist vector length mismatch")
+    return complex(np.sum(coeffs[integral_mask(twists)])) * sphere_integral(poly, n)

@@ -261,6 +261,21 @@ class TestActionRuns:
         assert abs(value["constant_term"] - target) <= 1e-2 * abs(target)
         assert identical
 
+    def test_constant_term_flags_commutative_theta(self, tmp_path, capsys):
+        # at Theta = 0 the perturbation cancels, so the 0 beside a nonzero target is expected
+        codes, rows, identical = self.run_twice(
+            tmp_path, ["action", "constant-term"],
+            {"n": 4, "theta_preset": "zero",
+             "one_form": [[1, [0, 1, 0, 0], 0.4, 0.0], [2, [1, 0, 0, 0], 0.25, 0.0]]},
+            "action-constant-term")
+        assert codes == [EXIT_OK, EXIT_OK]
+        value = {row["parameter"]: float(row["value"]) for row in rows}
+        assert value["constant_term"] == 0.0
+        assert value["gauge_curvature_target"] == pytest.approx(11.712, abs=1e-3)
+        out = capsys.readouterr().out
+        assert out.count("D_A = D") == 2  # one line per run
+        assert identical
+
     def test_correction_ordering(self, tmp_path, capsys):
         code = run_cli(["action", "correction", "--n", "2", "--out", str(tmp_path)])
         assert code == EXIT_OK
