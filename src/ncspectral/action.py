@@ -52,7 +52,7 @@ from .operators import (DEFAULT_BASIS_LIMIT, ModeWindow, OneForm, WindowError, a
                         covariant_dirac)
 from .weyl import DeformationMatrix, FourierElement, field_strength, multiply, trace
 from .zeta import (TwistedSeries, _lattice_shell_sums, check_lattice_box, gaussian_sum,
-                   integral_mask, sphere_moments, vol_sphere)
+                   integral_mask, sphere_moments)
 
 __all__ = [
     "CutoffProfile",
@@ -63,7 +63,6 @@ __all__ = [
     "ScalingReport",
     "NcIntegral",
     "ConstantTerm",
-    "CosmologicalTerm",
     "moments",
     "heat_trace",
     "twisted_heat_trace",
@@ -72,7 +71,6 @@ __all__ = [
     "fit_expansion",
     "nc_integral_power",
     "constant_term",
-    "cosmological_term",
     "tau_F_squared",
 ]
 
@@ -330,7 +328,7 @@ def _chiral_gram(M, window: ModeWindow) -> tuple[csr_matrix, int]:
         return (M @ M).tocsr(), 1
     _, U = np.linalg.eigh(chi)  # ascending: the -1 eigenvectors first
     half = U.shape[1] // 2
-    modes = identity(len(window.points), format="csr")
+    modes = identity(len(window.grid), format="csr")
     P_minus = kron(modes, csr_matrix(U[:, :half]), format="csr")
     P_plus = kron(modes, csr_matrix(U[:, half:]), format="csr")
     C = (P_plus.conj().T @ M @ P_minus).tocsr()
@@ -711,25 +709,3 @@ def tau_F_squared(A: OneForm, theta: DeformationMatrix) -> complex:
             if not F[mu][nu].is_zero():
                 total += trace(multiply(F[mu][nu], F[mu][nu], theta))
     return total
-
-
-@dataclass(frozen=True)
-class CosmologicalTerm:
-    value: float
-    reference: float
-    fit: ExpansionFit
-
-
-def cosmological_term(A: OneForm | None, theta: DeformationMatrix | None, n: int,
-                      profile: CutoffProfile | None = None,
-                      lam_grid: Sequence[float] | None = None) -> CosmologicalTerm:
-    """Leading expansion coefficient versus its perturbation-independent value.
-
-    Fits the action over the scale grid and normalizes the top coefficient by
-    its moment weight; the reference is 2^m vol(S^{n-1}).
-    """
-    profile = profile or CutoffProfile.gaussian()
-    lam_grid = list(lam_grid) if lam_grid is not None else [6.0, 7.3, 9.0, 11.0, 13.5, 16.4, 20.0, 24.0]
-    fit = fit_expansion(profile, lam_grid, n, theta=theta, A=A)
-    ref = (2 ** (n // 2)) * vol_sphere(n)
-    return CosmologicalTerm(value=fit.coeffs[n], reference=ref, fit=fit)

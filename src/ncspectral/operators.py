@@ -9,7 +9,10 @@ and sum repeated (src, k', i') labels, so a whole window basis is evaluated in
 a few array operations.  Truncation happens only when a map is assembled on a
 finite mode window, so the algebraic identities (gauge covariance,
 squared-operator expansion, pure-gauge cancellation) hold at coefficient
-level and the window matrices serve purely as numerical oracles.
+level and the window matrices serve purely as numerical oracles.  A window
+is an array too: its modes form one (M, n) int64 grid in lexicographic
+order, assembly evaluates a map once on the window's basis arrays, and
+`positions` places every output mode in one search over packed keys.
 
 The reality operator is never materialized: every conjugation by it is
 rewritten through the identity that sends left multiplication tensored with a
@@ -19,8 +22,7 @@ the covariant operator equal -i (delta_a + L(A_a) - R(A_a)) (x) gamma^a.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -43,17 +45,14 @@ __all__ = [
     "dirac",
     "left_rep",
     "right_rep",
-    "represented_one_form",
     "covariant_dirac",
     "pure_gauge_check",
     "gauge_transform",
     "conjugate_by_Vu",
     "square_expansion_check",
-    "kernel_projector",
     "assemble_sparse",
     "assemble_dense",
     "spectrum",
-    "export_spectrum",
 ]
 
 DEFAULT_BASIS_LIMIT = 200_000
@@ -118,7 +117,10 @@ class OneForm:
 
 
 class ModeWindow:
-    """Finite set of lattice modes: all k with |k| <= K in the chosen norm."""
+    """Finite set of lattice modes: all k with |k| <= K in the chosen norm.
+
+    `grid` holds them as an (M, n) int64 array in lexicographic order.
+    """
 
     def __init__(self, n: int, K: int, shape: str = "max", spinor_dim: int | None = None):
         if K < 0:
@@ -131,12 +133,11 @@ class ModeWindow:
         self.K = int(K)
         self.shape = shape
         self.spinor_dim = spinor_dim if spinor_dim is not None else 2 ** (n // 2)
-        # the product runs in lexicographic order, so the points come sorted
-        pts = [k for k in itertools.product(range(-self.K, self.K + 1), repeat=n)
-               if shape == "max" or sum(c * c for c in k) <= self.K ** 2]
-        self.points: list[tuple[int, ...]] = pts
-        self._grid = np.array(pts, dtype=np.int64).reshape(-1, n)
-        self._keys = self._pack(self._grid)  # ascending, as pts is sorted
+        grid = np.indices((2 * self.K + 1,) * n, dtype=np.int64).reshape(n, -1).T - self.K
+        if shape == "euclid":
+            grid = grid[np.sum(grid * grid, axis=1) <= self.K ** 2]
+        self.grid = np.ascontiguousarray(grid)
+        self._keys = self._pack(self.grid)  # ascending, as the grid is sorted
 
     def _pack(self, ks: np.ndarray) -> np.ndarray:
         """One int64 key per row of in-box points, in lexicographic order."""
@@ -146,35 +147,16 @@ class ModeWindow:
         return key
 
     @property
-    def grid(self) -> np.ndarray:
-        """The points as an (len(points), n) int64 array, in `points` order."""
-        return self._grid
-
-    @property
     def basis_size(self) -> int:
-        return len(self.points) * self.spinor_dim
-
-    def contains(self, k: tuple[int, ...]) -> bool:
-        return bool(self.positions(np.array([k], dtype=np.int64))[0] >= 0)
-
-    def index(self, k: tuple[int, ...], i: int) -> int:
-        j = int(self.positions(np.array([k], dtype=np.int64))[0])
-        if j < 0:
-            raise KeyError(k)
-        return j * self.spinor_dim + i
-
-    def basis(self):
-        for k in self.points:
-            for i in range(self.spinor_dim):
-                yield k, i
+        return len(self.grid) * self.spinor_dim
 
     def basis_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The basis in `basis()` order as arrays k (N, n) and i (N,), both int64."""
+        """The basis as int64 arrays k (N, n) and i (N,); row j * spinor_dim + i is (grid[j], i)."""
         s = self.spinor_dim
-        return np.repeat(self._grid, s, axis=0), np.tile(np.arange(s, dtype=np.int64), len(self._grid))
+        return np.repeat(self.grid, s, axis=0), np.tile(np.arange(s, dtype=np.int64), len(self.grid))
 
     def positions(self, ks: np.ndarray) -> np.ndarray:
-        """Index into `points` of each row of ks (M, n), -1 for modes outside the window."""
+        """Row in `grid` of each row of ks (M, n), -1 for modes outside the window."""
         if ks.shape[1] != self.n:
             raise ValueError(f"lattice points must have length {self.n}")
         inside = np.all(np.abs(ks) <= self.K, axis=1)
@@ -186,7 +168,6 @@ class ModeWindow:
         return f"ModeWindow(n={self.n}, K={self.K}, shape={self.shape!r}, basis={self.basis_size})"
 
 
-Rule = Callable[[tuple[int, ...], int], list[tuple[tuple[int, ...], int, complex]]]
 # (src, k', i', amp): output j comes from input row src[j] and carries amp[j] on U_k'[j] (x) e_i'[j]
 Outputs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 Batch = Callable[[np.ndarray, np.ndarray], Outputs]
@@ -229,22 +210,6 @@ def _reduce(out: Outputs) -> Outputs:
     return src[sel], ks[sel], idx[sel], total[keep]
 
 
-def _lift(rule: Rule) -> Batch:
-    """Batch form of a per-basis rule: one rule call per input row."""
-
-    def batch(ks, idx):
-        rows = [(m, k2, i2, amp)
-                for m, (k, i) in enumerate(zip(map(tuple, ks.tolist()), idx.tolist()))
-                for k2, i2, amp in rule(k, i)]
-        if not rows:
-            return _empty(ks.shape[1])
-        src, k2s, i2s, amps = zip(*rows)
-        return (np.array(src, dtype=np.int64), np.array(k2s, dtype=np.int64).reshape(-1, ks.shape[1]),
-                np.array(i2s, dtype=np.int64), np.array(amps, dtype=complex))
-
-    return batch
-
-
 @dataclass(frozen=True)
 class ModeMap:
     """Exact linear operator evaluated on whole arrays of basis inputs.
@@ -252,8 +217,8 @@ class ModeMap:
     `batch(k, i)` takes M inputs U_k (x) e_i as int64 arrays k (M, n) and
     i (M,) and returns all their outputs (src, k', i', amp), src being the
     input row of each output; a label may repeat, and repeated amplitudes add.
-    Nothing is truncated.  A map may instead be given by a per-basis `rule`
-    (k, i) -> [(k', i', amp), ...], which is lifted to the batch form.
+    Nothing is truncated.  `batch` is the map's only definition: sums,
+    scalings and compositions build new batch functions from old ones.
     `spread` bounds the max-norm shift in k any output can have relative to
     the input; composition adds spreads and addition takes the max.
     """
@@ -261,14 +226,7 @@ class ModeMap:
     dim: int
     spinor_dim: int
     spread: int
-    rule: InitVar[Rule | None] = None
-    batch: Batch | None = field(default=None, repr=False)
-
-    def __post_init__(self, rule):
-        if (rule is None) == (self.batch is None):
-            raise ValueError("give a mode map exactly one of rule and batch")
-        if rule is not None:
-            object.__setattr__(self, "batch", _lift(rule))
+    batch: Batch = field(repr=False)
 
     def apply_basis(self, k: tuple[int, ...], i: int) -> list[tuple[tuple[int, ...], int, complex]]:
         """Outputs of one basis input, repeated labels summed and exact zeros dropped."""
@@ -410,18 +368,6 @@ def left_rep(a: FourierElement, theta: DeformationMatrix, spinor_dim: int | None
 def right_rep(a: FourierElement, theta: DeformationMatrix, spinor_dim: int | None = None) -> ModeMap:
     """R(a) (x) 1: U_k -> U_k a expanded through the product rule."""
     return _product_map(a, theta, spinor_dim, left=False)
-
-
-def represented_one_form(A: OneForm, theta: DeformationMatrix) -> ModeMap:
-    """The operator sum_a L(-i A_a) (x) gamma^a (the plain, unsymmetrized potential)."""
-    gs = build_gamma(A.n)
-    total = ModeMap.zero(A.n, gs.spinor_dim)
-    for a_idx, comp in enumerate(A.components):
-        if comp.is_zero():
-            continue
-        total = total + (_spinor_matrix_map(A.n, gs.gammas[a_idx])
-                         @ left_rep(-1j * comp, theta, gs.spinor_dim))
-    return total
 
 
 def covariant_dirac(A: OneForm, theta: DeformationMatrix) -> ModeMap:
@@ -583,42 +529,3 @@ def spectrum(T: ModeMap, window: ModeWindow, basis_limit: int = DEFAULT_BASIS_LI
     if dev > hermiticity_tol * scale:
         raise WindowError(f"window compression is not hermitian: deviation {dev:.3e}")
     return np.linalg.eigvalsh(mat)
-
-
-def export_spectrum(eigs, path, fmt: str = "csv") -> None:
-    """Write eigenvalues to disk, one per line (csv) or as a JSON array."""
-    import json as _json
-
-    vals = [float(x) for x in eigs]
-    with open(path, "w") as fh:
-        if fmt == "csv":
-            for v in vals:
-                fh.write(format(v, ".17g") + "\n")
-        elif fmt == "json":
-            fh.write(_json.dumps(vals) + "\n")
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-
-
-def kernel_projector(T: ModeMap, window: ModeWindow, tol: float = 1e-10,
-                     basis_limit: int = DEFAULT_BASIS_LIMIT) -> tuple[np.ndarray, int]:
-    """Numerical kernel of the window compression: (projector matrix, dimension).
-
-    Kernel vectors carrying more than `tol` relative mass on the outermost
-    mode shell indicate the window cannot separate the kernel; that raises
-    WindowError rather than returning a silently wrong answer.
-    """
-    mat = assemble_dense(T, window, basis_limit=basis_limit)
-    vals, vecs = np.linalg.eigh(mat)
-    scale = max(np.max(np.abs(vals)), 1e-30)
-    sel = np.abs(vals) < tol * scale
-    dim = int(np.count_nonzero(sel))
-    kvecs = vecs[:, sel]
-    if dim and window.K > 0:
-        boundary = np.abs(window.basis_arrays()[0]).max(axis=1) == window.K
-        mass = np.sum(np.abs(kvecs[boundary, :]) ** 2, axis=0)
-        if np.any(mass > tol):
-            raise WindowError(
-                "kernel candidates touch the window boundary; enlarge the window")
-    proj = kvecs @ kvecs.conj().T
-    return proj, dim

@@ -13,7 +13,7 @@ lattice sum vs Hermite-weighted dual sum) provide the identity check that
 validates the whole machinery.
 
 Every lattice-sum decision lives here: `gaussian_sum` holds the direct/dual
-switch, `_hermite_power_coeffs` alone reads the Hermite table, `is_integral`
+switch, `_hermite_power_coeffs` alone reads the Hermite table, `integral_mask`
 is the integral-twist test and `check_lattice_box` the guard on the box of a
 direct sum.  Direct sums group the box by |k|^2 without enumerating it: a
 monomial factorizes over the axes, so its shell table is the convolution of
@@ -40,7 +40,6 @@ __all__ = [
     "theta_sum",
     "poisson_dual",
     "gaussian_sum",
-    "is_integral",
     "integral_mask",
     "check_lattice_box",
     "evaluate",
@@ -50,7 +49,6 @@ __all__ = [
     "sphere_moments",
     "zeta_D",
     "zeta_D_residue",
-    "twisted_family_residue",
     "vol_sphere",
 ]
 
@@ -145,9 +143,19 @@ def integral_mask(twists) -> np.ndarray:
     return np.all(np.abs(tw - np.rint(tw)) <= _INT_TOL, axis=-1)
 
 
-def is_integral(twist) -> bool:
-    """Whether every entry of a twist vector is an integer, up to rounding."""
-    return bool(integral_mask(twist))
+def _on_lattice(series: TwistedSeries) -> bool:
+    """Whether the twist lies exactly on Z^n, where the series has its pole.
+
+    Raises PoleEvaluationError within _INT_TOL of Z^n but off it, where the
+    twist cannot be told from rounding noise and snapping it would be wrong.
+    """
+    tw = np.array(series.twist)
+    if np.all(tw == np.rint(tw)):
+        return True
+    if integral_mask(tw):
+        raise PoleEvaluationError(
+            f"twist {series.twist} lies within {_INT_TOL:g} of Z^{series.n} but not on it")
+    return False
 
 
 def vol_sphere(n: int) -> float:
@@ -387,7 +395,7 @@ def evaluate(series: TwistedSeries, s: complex, pole_guard: float = 1e-8) -> Con
     s = complex(s)
     n, p = series.n, series.degree
     pole = series.pole_location
-    integer_twist = is_integral(series.twist)
+    integer_twist = _on_lattice(series)
     if integer_twist and abs(s - pole) < pole_guard and _pole_coefficient(series) != 0.0:
         raise PoleEvaluationError(
             f"s = {s} is at the pole s = {pole}; use residue() instead")
@@ -411,7 +419,7 @@ def evaluate(series: TwistedSeries, s: complex, pole_guard: float = 1e-8) -> Con
     b = np.array(series.twist)[None, :] - _dual_points(series, rho)
     bsq = np.sum(b * b, axis=1)
     # the center term of an integral twist is handled analytically as the pole
-    keep = bsq > ((10.0 * _INT_TOL) ** 2 if integer_twist else 0.0)
+    keep = bsq > 0.0
     bsq = bsq[keep].tolist()
     coeffs = _hermite_power_coeffs(series, b[keep]).T.tolist()
     pref = math.pi ** (n / 2.0) * (0.5j) ** p
@@ -459,7 +467,7 @@ def residue(series: TwistedSeries, s0: complex) -> complex:
     pole = series.pole_location
     if abs(complex(s0) - pole) > 1e-8:
         raise ValueError(f"s0 = {s0} is not the candidate pole s = {pole}")
-    if not is_integral(series.twist):
+    if not _on_lattice(series):
         return 0j
     kappa = _pole_coefficient(series)
     return complex(kappa * 2.0 * float(_rgamma(pole / 2.0)))
@@ -521,18 +529,3 @@ def zeta_D_residue(n: int) -> float:
     """Residue of the Dirac spectral zeta at s = n: 2^m vol(S^{n-1})."""
     zn = TwistedSeries(n, {(0,) * n: 1.0})
     return (2 ** (n // 2)) * residue(zn, n).real
-
-
-def twisted_family_residue(terms, poly: Poly, n: int) -> complex:
-    """Residue at s = n + deg(P) of a finite twisted family sum_l c_l f_{a_l}.
-
-    Only terms whose twist vector is integral contribute; each contributes its
-    coefficient times the sphere moment of P.
-    """
-    if not terms:
-        return 0j
-    coeffs = np.array([c for c, _ in terms], dtype=complex)
-    twists = np.array([tw for _, tw in terms], dtype=float)
-    if twists.shape[-1] != n:
-        raise ValueError("twist vector length mismatch")
-    return complex(np.sum(coeffs[integral_mask(twists)])) * sphere_integral(poly, n)

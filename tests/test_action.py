@@ -1,7 +1,9 @@
+import functools
 import itertools
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, identity, kron
@@ -12,7 +14,6 @@ from ncspectral.action import (
     MomentError,
     constant_term,
     correction_scaling,
-    cosmological_term,
     fit_expansion,
     heat_trace,
     moments,
@@ -33,9 +34,8 @@ from ncspectral.operators import (
     assemble_sparse,
     covariant_dirac,
 )
-from ncspectral.polynomials import poly_mul
 from ncspectral.weyl import DeformationMatrix, FourierElement
-from ncspectral.zeta import twisted_family_residue, vol_sphere
+from ncspectral.zeta import vol_sphere
 
 from conftest import random_element
 
@@ -400,7 +400,7 @@ class TestChiralRoute:
         M = assemble_sparse(covariant_dirac(A, theta_block(n)), window)
         w, U = np.linalg.eigh(build_gamma(n).chirality)
         assert np.allclose(w, np.repeat([-1.0, 1.0], len(w) // 2))
-        modes = identity(len(window.points), format="csr")
+        modes = identity(len(window.grid), format="csr")
         for cols in (U[:, w < 0], U[:, w > 0]):
             P = kron(modes, csr_matrix(cols), format="csr")
             block = (P.conj().T @ M @ P).toarray()
@@ -475,14 +475,42 @@ class TestNcIntegrals:
             assert nc_integral_power(A, th0, q).value == 0j
 
 
+def reference_poly_mul(p, q):
+    """Product of two polynomial maps {exponent tuple: coefficient}."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def reference_is_integral(twist):
+    """Whether a twist vector lies on Z^n, up to the float noise of Theta w / 4 pi."""
+    return all(abs(x - round(x)) <= 1e-9 for x in twist)
+
+
+@functools.lru_cache(maxsize=None)
+@mpmath.workdps(30)
+def reference_sphere_moment(e):
+    """Integral of prod_j u_j^{e_j} over the unit sphere in R^len(e), by the Gamma formula."""
+    if any(x % 2 for x in e):
+        return mpmath.mpf(0)
+    mom = 2 * mpmath.fprod(mpmath.gamma(mpmath.mpf(x + 1) / 2) for x in e)
+    return mom / mpmath.gamma(mpmath.mpf(len(e) + sum(e)) / 2)
+
+
+@mpmath.workdps(30)
 def reference_nc_integral(A, theta, q):
     """Per-path oracle for `nc_integral_power`: polynomial maps, one path at a time.
 
     Each zero-sum shift path builds its spinor-trace numerator as a map
     {exponent vector: trace}, multiplies it into the complete homogeneous
-    H_r of the expanded denominator with `poly_mul`, keeps the terms of
-    residue degree and hands them, with the sign choices and their twists,
-    to `twisted_family_residue`.
+    H_r of the expanded denominator, keeps the terms of residue degree and
+    integrates them over the sphere; the sign choices with an integral twist
+    add their coefficients.  Moments, phases and sums are taken in 30-digit
+    mpmath.  The polynomial product, the integral-twist test and the sphere
+    moments are its own, so it shares no code with `zeta` or `polynomials`.
     """
     n = A.n
     gs = build_gamma(n)
@@ -493,7 +521,7 @@ def reference_nc_integral(A, theta, q):
     signs = list(itertools.product((-1, 1), repeat=q))
     lift = np.vstack([np.zeros((1, n), dtype=int), np.eye(n, dtype=int)])
     linear = list(map(tuple, lift.tolist()))
-    total = 0j
+    terms = []
     for path in itertools.product(steps, repeat=q):
         hs = [h for _, h, _ in path]
         if any(map(sum, zip(*hs))):
@@ -501,10 +529,8 @@ def reference_nc_integral(A, theta, q):
         c = np.cumsum([zero, *hs[:-1]], axis=0)
         phase = theta.bilinear_batch(np.array(hs), c).tolist()
         twists = -(np.array(signs) @ np.array(hs) @ theta.theta.T) / (4.0 * math.pi)
-        terms = []
-        for sig, twist in zip(signs, twists):
-            phi = 0.5 * sum(s * b for s, b in zip(sig, phase))
-            terms.append((math.prod(sig) * complex(math.cos(phi), math.sin(phi)), twist))
+        kernel = [math.prod(sig) * mpmath.expj(0.5 * mpmath.fsum(s * b for s, b in zip(sig, phase)))
+                  for sig, twist in zip(signs, twists.tolist()) if reference_is_integral(twist)]
         mats = np.eye(gs.spinor_dim)[None]
         exps = np.zeros((1, n), dtype=int)
         for (gg, _, _), cj in zip(path, c):
@@ -520,13 +546,13 @@ def reference_nc_integral(A, theta, q):
             s = {e: v for e, v in zip(linear, [float(np.dot(cj, cj))] + [2.0 * x for x in cj])
                  if v}
             for r in range(1, len(H)):
-                for e, v in poly_mul(s, H[r - 1]).items():
+                for e, v in reference_poly_mul(s, H[r - 1]).items():
                     H[r][e] = H[r].get(e, 0.0) + v
-        pick = {e: (-1) ** r * v for r, h in enumerate(H)
-                for e, v in poly_mul(numer, h).items() if sum(e) == 2 * q + 2 * r - n}
-        total += 1j ** q * math.prod(v for _, _, v in path) * twisted_family_residue(
-            terms, pick, n)
-    return total
+        pick = [(-1) ** r * v * reference_sphere_moment(e) for r, h in enumerate(H)
+                for e, v in reference_poly_mul(numer, h).items() if sum(e) == 2 * q + 2 * r - n]
+        terms.append(mpmath.fprod([1j ** q, *(v for _, _, v in path),
+                                   mpmath.fsum(kernel), mpmath.fsum(pick)]))
+    return complex(mpmath.fsum(terms))
 
 
 def oracle_one_forms(n):
@@ -554,7 +580,7 @@ class TestNcIntegralOracle:
     @pytest.mark.parametrize("name", sorted(THETAS))
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_per_path_reference(self, n, name):
-        # worst gaps measured: 2.7e-34 relative on the 10 values above 1e-10, 8.5e-15
+        # worst gaps measured: 7.1e-16 relative on the 10 values above 1e-10, 1.7e-14
         # absolute on the 98 below (n = 2 and 3 give exact zeros throughout)
         th = self.THETAS[name](n)
         for terms in oracle_one_forms(n):
@@ -745,19 +771,22 @@ class TestHutchinson:
 
 
 class TestCosmologicalTerm:
+    """The leading fitted coefficient against 2^m vol(S^{n-1}), with or without a perturbation."""
+
+    GRID = [6.0, 7.3, 9.0, 11.0, 13.5, 16.4, 20.0, 24.0]
+
     def test_flat_dimension_two(self):
-        res = cosmological_term(None, None, 2)
-        assert res.value == pytest.approx(res.reference, rel=1e-8)
-        assert res.reference == pytest.approx(2.0 * vol_sphere(2), rel=1e-13)
+        fit = fit_expansion(CutoffProfile.gaussian(), self.GRID, 2)
+        assert fit.coeffs[2] == pytest.approx(2.0 * vol_sphere(2), rel=1e-8)
 
     def test_flat_dimension_four(self):
-        res = cosmological_term(None, None, 4)
-        assert res.value == pytest.approx(8.0 * math.pi ** 2, rel=1e-8)
+        fit = fit_expansion(CutoffProfile.gaussian(), self.GRID, 4)
+        assert fit.coeffs[4] == pytest.approx(8.0 * math.pi ** 2, rel=1e-8)
 
     def test_perturbation_invariant_dimension_two(self):
         th = theta_block(2)
         A = OneForm.from_terms(2, [(1, (1, 0), 0.4)])
-        res = cosmological_term(A, th, 2,
-                                lam_grid=[2.5, 3.2, 4.1, 5.3, 6.8, 8.7, 10.0])
-        sigma = res.fit.sigmas[2]
-        assert abs(res.value - res.reference) <= max(5.0 * sigma, 1e-5 * res.reference)
+        fit = fit_expansion(CutoffProfile.gaussian(), [2.5, 3.2, 4.1, 5.3, 6.8, 8.7, 10.0], 2,
+                            theta=th, A=A)
+        ref = 2.0 * vol_sphere(2)
+        assert abs(fit.coeffs[2] - ref) <= max(5.0 * fit.sigmas[2], 1e-5 * ref)

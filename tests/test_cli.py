@@ -54,6 +54,11 @@ class TestExitCodes:
         assert run_cli(["zeta", "eval", "--P", "1", "--s-re", "2.0", "--n", "2",
                         "--out", str(tmp_path)]) == EXIT_PRECONDITION
 
+    def test_near_integral_twist_is_precondition_failure(self, tmp_path, capsys):
+        assert run_cli(["zeta", "eval", "--n", "1", "--P", "1", "--s-re", "0.5",
+                        "--twist", "[1e-13]", "--out", str(tmp_path)]) == EXIT_PRECONDITION
+        assert "within 1e-13" in capsys.readouterr().err
+
     def test_heat_nonpositive_t_is_precondition_failure(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"n": 2, "t_grid": [0.0]}))
         assert run_cli(["action", "heat", "--config", str(tmp_path / "cfg.json"),

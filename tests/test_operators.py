@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,10 +16,8 @@ from ncspectral.operators import (
     covariant_dirac,
     dirac,
     gauge_transform,
-    kernel_projector,
     left_rep,
     pure_gauge_check,
-    represented_one_form,
     right_rep,
     spectrum,
     square_expansion_check,
@@ -73,8 +72,8 @@ class TestDirac:
         window = ModeWindow(2, 3, spinor_dim=2)
         eigs = spectrum(dirac(2), window)
         want = sorted(
-            s * math.sqrt(k[0] ** 2 + k[1] ** 2)
-            for k in window.points for s in (1, -1))
+            s * math.sqrt(k0 ** 2 + k1 ** 2)
+            for k0, k1 in window.grid.tolist() for s in (1, -1))
         assert np.allclose(eigs, want, atol=1e-12)
 
     def test_k1_window_spectrum_explicit(self):
@@ -227,11 +226,12 @@ class TestSquareExpansion:
         D = dirac(2)
         sq = D @ D
 
-        def norm_rule(k, i):
-            nsq = sum(c * c for c in k)
-            return [(k, i, complex(nsq))] if nsq else []
+        def norm_batch(ks, idx):
+            nsq = np.sum(ks * ks, axis=1)
+            src = np.flatnonzero(nsq)
+            return src, ks[src], idx[src], nsq[src].astype(complex)
 
-        diag = ModeMap(2, 2, 0, norm_rule)
+        diag = ModeMap(2, 2, 0, norm_batch)
         assert sq.max_deviation(diag, window) < 1e-13
 
     def test_single_mode_dimension_two(self, theta2):
@@ -250,66 +250,56 @@ class TestSquareExpansion:
 
 
 class TestKernel:
+    @staticmethod
+    def kernel_dimension(T, window):
+        return int(np.count_nonzero(np.abs(spectrum(T, window)) < 1e-10))
+
     def test_flat_kernel_dimension_two(self, theta2):
-        window = ModeWindow(2, 2, spinor_dim=2)
-        _, dim = kernel_projector(dirac(2), window)
-        assert dim == 2
+        assert self.kernel_dimension(dirac(2), ModeWindow(2, 2, spinor_dim=2)) == 2
 
     def test_flat_kernel_dimension_four(self, theta4):
-        window = ModeWindow(4, 1, spinor_dim=4)
-        _, dim = kernel_projector(dirac(4), window)
-        assert dim == 4
+        assert self.kernel_dimension(dirac(4), ModeWindow(4, 1, spinor_dim=4)) == 4
 
     def test_symmetrized_perturbation_preserves_kernel(self, theta2):
-        # the left-minus-right perturbation annihilates the zero mode, the
-        # plain represented potential does not
+        # the left-minus-right perturbation annihilates the zero modes
         rng = np.random.default_rng(7)
         A = random_one_form(rng, 2)
         DA = covariant_dirac(A, theta2)
         for i in range(2):
             assert DA.apply_basis((0, 0), i) == []
-        Ahat = represented_one_form(A, theta2)
-        moved = [(k, i, amp) for i in range(2)
-                 for k, i2, amp in ((dirac(2) + Ahat).apply_basis((0, 0), i))
-                 if abs(amp) > 1e-14]
-        assert moved  # kernel of the flat operator is not inside ker(D + A-hat)
 
-    def test_projector_is_projection(self, theta2):
-        window = ModeWindow(2, 2, spinor_dim=2)
-        proj, dim = kernel_projector(dirac(2), window)
-        assert np.max(np.abs(proj @ proj - proj)) < 1e-12
-        assert np.trace(proj).real == pytest.approx(dim, abs=1e-10)
+
+def enumerated_grid(n, K, shape):
+    """The window's modes by itertools.product, in its lexicographic order."""
+    return [k for k in itertools.product(range(-K, K + 1), repeat=n)
+            if shape == "max" or sum(c * c for c in k) <= K * K]
 
 
 class TestWindowShapes:
+    @pytest.mark.parametrize("shape", ["max", "euclid"])
+    @pytest.mark.parametrize("K", [0, 1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_grid_order_matches_enumeration(self, n, K, shape):
+        # assembly, positions and the line engine all rely on this order
+        window = ModeWindow(n, K, shape=shape)
+        want = enumerated_grid(n, K, shape)
+        assert window.grid.dtype == np.int64 and window.grid.shape == (len(want), n)
+        assert window.grid.tolist() == [list(k) for k in want]
+        assert window.basis_size == len(want) * window.spinor_dim
+        assert np.array_equal(window.positions(window.grid), np.arange(len(want)))
+
     def test_euclidean_window_drops_corners(self):
         wmax = ModeWindow(2, 2, shape="max", spinor_dim=2)
         weuc = ModeWindow(2, 2, shape="euclid", spinor_dim=2)
-        assert (2, 2) in wmax.points
-        assert (2, 2) not in weuc.points
-        assert (2, 0) in weuc.points
+        probe = np.array([[2, 2], [2, 0]], dtype=np.int64)
+        assert wmax.positions(probe).tolist() == [24, 22]
+        assert weuc.positions(probe)[0] == -1
+        assert weuc.grid[weuc.positions(probe)[1]].tolist() == [2, 0]
         assert weuc.basis_size < wmax.basis_size
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             ModeWindow(2, 2, shape="diamond")
-
-
-class TestSpectrumExport:
-    def test_csv_and_json(self, tmp_path):
-        from ncspectral.operators import export_spectrum
-        import json as _json
-
-        window = ModeWindow(2, 1, spinor_dim=2)
-        eigs = spectrum(dirac(2), window)
-        csv_path = tmp_path / "spec.csv"
-        export_spectrum(eigs, csv_path, fmt="csv")
-        lines = csv_path.read_text().strip().splitlines()
-        assert len(lines) == eigs.size
-        assert float(lines[0]) == pytest.approx(eigs[0])
-        json_path = tmp_path / "spec.json"
-        export_spectrum(eigs, json_path, fmt="json")
-        assert _json.loads(json_path.read_text()) == pytest.approx(list(eigs))
 
 
 class TestDenseAssembly:
@@ -329,13 +319,13 @@ class TestDenseAssembly:
         window = ModeWindow(2, 1, spinor_dim=2)
         D = dirac(2)
         mat = assemble_dense(D, window)
-        for k, i in window.basis():
-            col = mat[:, window.index(k, i)]
-            expect = np.zeros_like(col)
-            for k2, i2, amp in D.apply_basis(k, i):
-                if window.contains(k2):
-                    expect[window.index(k2, i2)] += amp
-            assert np.allclose(col, expect, atol=0)
+        for col, (k, i) in enumerate(zip(*window.basis_arrays())):
+            expect = np.zeros(window.basis_size, dtype=complex)
+            for k2, i2, amp in D.apply_basis(tuple(k), i):
+                [pos] = window.positions(np.array([k2]))
+                if pos >= 0:
+                    expect[pos * window.spinor_dim + i2] += amp
+            assert np.allclose(mat[:, col], expect, atol=0)
 
 
 def _batch_route_cases(theta):
@@ -346,10 +336,11 @@ def _batch_route_cases(theta):
     D, L, R = dirac(2), left_rep(a, theta, 2), right_rep(b, theta, 2)
     DA = covariant_dirac(A, theta)
 
-    def hop_rule(k, i):
+    def hop_rule(ks, idx):
         # U_k (x) e_i -> (k_1 + 1 + i/2) U_{k + e_2} (x) e_{1-i}, zero on k_1 = -1, i = 0
-        amp = complex(k[0] + 1, 0.5 * i)
-        return [((k[0], k[1] + 1), 1 - i, amp)] if amp else []
+        amp = (ks[:, 0] + 1) + 0.5j * idx
+        src = np.flatnonzero(amp)
+        return src, ks[src] + np.array([0, 1]), 1 - idx[src], amp[src]
 
     return {"dirac": D, "left_rep": L, "right_rep": R, "covariant_dirac": DA,
             "sum": D + 0.5j * L - R, "composition": DA @ (L - R),
@@ -366,27 +357,27 @@ class TestBatchRoute:
         window = ModeWindow(2, 3, spinor_dim=2)
         mat = assemble_sparse(T, window, require_margin=True).toarray()
         lost = 0
-        for k, i in window.basis():
+        for col, (k, i) in enumerate(zip(*window.basis_arrays())):
             expect = np.zeros(window.basis_size, dtype=complex)
-            for k2, i2, amp in T.apply_basis(k, i):
-                assert max(abs(x - y) for x, y in zip(k2, k)) <= T.spread
+            for k2, i2, amp in T.apply_basis(tuple(k), i):
+                assert np.max(np.abs(np.subtract(k2, k))) <= T.spread
                 assert amp != 0
-                if window.contains(k2):
-                    expect[window.index(k2, i2)] += amp
+                [pos] = window.positions(np.array([k2]))
+                if pos >= 0:
+                    expect[pos * window.spinor_dim + i2] += amp
                 else:
                     # only inputs within the spread of the boundary lose amplitude
-                    assert max(abs(c) for c in k) > window.K - T.spread
+                    assert np.max(np.abs(k)) > window.K - T.spread
                     lost += 1
-            col = mat[:, window.index(k, i)]
-            assert np.allclose(col, expect, rtol=0, atol=1e-13)
-            assert np.array_equal(col != 0, expect != 0)
+            assert np.allclose(mat[:, col], expect, rtol=0, atol=1e-13)
+            assert np.array_equal(mat[:, col] != 0, expect != 0)
         assert (lost > 0) == (T.spread > 0)
 
-    def test_rule_is_lifted(self):
+    def test_rule_batch_outputs(self):
         T = _batch_route_cases(DeformationMatrix.zero(2))["rule"]
         assert T.apply_basis((2, -1), 0) == [((2, 0), 1, 3 + 0j)]
         assert T.apply_basis((-1, 4), 0) == []
 
     def test_needs_one_form_of_definition(self):
-        with pytest.raises(ValueError):
-            ModeMap(2, 2, 0)
+        with pytest.raises(TypeError):
+            ModeMap(2, 2, 0)  # the batch function is required

@@ -122,3 +122,35 @@ def test_traced_names_exist():
         if klass is None or attr not in vars(klass):
             missing.append(f"{mod}.{cls}.{attr}")
     assert missing == []
+
+
+def called_functions(tree: ast.Module, root: str) -> list[ast.FunctionDef]:
+    """A module-level function and every module-level function it calls, transitively."""
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(node.id for node in ast.walk(funcs[name])
+                        if isinstance(node, ast.Name) and node.id in funcs)
+    return [funcs[name] for name in sorted(seen)]
+
+
+def test_nc_integral_oracle_is_independent():
+    # the per-path oracle checks nc_integral_power, so it must not reach the twist
+    # test, sphere moments or polynomial product that the checked path uses
+    modules = {"zeta", "polynomials"}
+    tree = ast.parse((TESTS / "test_action.py").read_text())
+    bound = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ncspectral")
+             for alias in node.names
+             if node.module.split(".")[-1] in modules or alias.name in modules}
+    funcs = called_functions(tree, "reference_nc_integral")
+    assert len(funcs) > 1  # the oracle has its own helpers
+    reached = sorted(
+        f"{func.name}: line {node.lineno}" for func in funcs for node in ast.walk(func)
+        if (isinstance(node, ast.Name) and node.id in bound)
+        or (isinstance(node, ast.Attribute) and node.attr in modules)
+        or (isinstance(node, (ast.Import, ast.ImportFrom)) and "ncspectral" in ast.unparse(node)))
+    assert reached == []
