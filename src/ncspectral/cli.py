@@ -464,9 +464,12 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # global flags may appear before or after the subcommand; SUPPRESS keeps
-    # leaf defaults from clobbering values parsed at the top level
+    # leaf defaults from clobbering values parsed at the top level.  Built once
+    # per process from the constant tables: parse_args leaves the parser as it
+    # was and returns a fresh Namespace
     common = argparse.ArgumentParser(add_help=False)
     for flag, (key, kind) in _GLOBAL_FLAGS.items():
         common.add_argument(flag, dest=key or "config", type=kind, default=argparse.SUPPRESS,

@@ -23,6 +23,7 @@ one-axis tables indexed by k^2 (`_lattice_shell_sums`).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -390,7 +391,9 @@ def evaluate(series: TwistedSeries, s: complex, pole_guard: float = 1e-8) -> Con
 
     Mellin split at t = 1: termwise upper incomplete gammas on the direct
     side, Poisson-dual incomplete gammas plus the analytically separated pole
-    and constant terms on the small-t side, all divided by Gamma(s/2).
+    and constant terms on the small-t side, all divided by Gamma(s/2).  The
+    direct side sums the complete shells |k|^2 <= R^2, and each distinct
+    argument of an incomplete gamma is computed once.
     """
     s = complex(s)
     n, p = series.n, series.degree
@@ -402,14 +405,17 @@ def evaluate(series: TwistedSeries, s: complex, pole_guard: float = 1e-8) -> Con
 
     # direct side: choose x_max so x^{(p+n)/2-2} e^{-x} is below threshold
     c_exp = max((p + n) / 2.0, 1.0)
-    x_max = _LOG_EPS + abs(s.real) / 2.0 * 2.0
+    x_max = _LOG_EPS + abs(s.real)
     for _ in range(40):
         x_max = _LOG_EPS + max(c_exp + abs(s.real) / 2.0, 1.0) * math.log(x_max + 2.0)
     radius = max(2, int(math.ceil(math.sqrt(x_max))))
     shells, direct_band = _lattice_shell_sums(series, radius, lambda nsq: np.ones(len(nsq)))
-    xs = np.nonzero(np.abs(shells) > 0)[0]
+    # the shells |k|^2 <= R^2 lie whole in the box; the corners beyond are
+    # partial shells, each below e^{-x_max}
+    xs = np.nonzero(np.abs(shells[:radius * radius + 1]) > 0)[0]
     half_s = 0.5 * s
-    direct_terms = [shells[x] * upper_gamma(half_s, float(x)) * cmath.exp(-half_s * math.log(x))
+    gamma = functools.cache(upper_gamma)  # repeated dual radii, and (R-1)^2 for est
+    direct_terms = [shells[x] * gamma(half_s, float(x)) * cmath.exp(-half_s * math.log(x))
                     for x in xs.tolist()]
     I1 = _fsum_complex(direct_terms) if direct_terms else 0j
 
@@ -431,7 +437,7 @@ def evaluate(series: TwistedSeries, s: complex, pole_guard: float = 1e-8) -> Con
             if cr == 0:
                 continue
             alpha = (s - n - p - r) / 2.0
-            local += cr * cmath.exp(alpha * math.log(beta)) * upper_gamma(-alpha, beta)
+            local += cr * cmath.exp(alpha * math.log(beta)) * gamma(-alpha, beta)
         term = pref * local
         dual_terms.append(term)
         if beta > 0.8 * beta_max:
@@ -450,7 +456,7 @@ def evaluate(series: TwistedSeries, s: complex, pole_guard: float = 1e-8) -> Con
     rg = complex(_rgamma(half_s))
     const = series.constant_coefficient() * complex(_rgamma(half_s + 1.0))
     value = total * rg - const
-    est = (direct_band * abs(upper_gamma(half_s, float(radius - 1) ** 2))
+    est = (direct_band * abs(gamma(half_s, float(radius - 1) ** 2))
            * float(radius - 1) ** (-s.real) if radius > 1 else 0.0)
     # cancellation can put the magnitude summed far above |value|
     est = abs(rg) * (est + dual_band) + _ROUND_REL * (abs(rg) * summed + abs(const))

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from ncspectral import cli
 from ncspectral.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -203,6 +204,27 @@ class TestRuns:
         data = json.loads((tmp_path / "op-check" / "gammas.json").read_text())
         assert data["n"] == 2 and len(data["gammas"]) == 2
         assert data["epsilon"] in (1, -1)
+
+    def test_cached_parser_holds_no_state(self, tmp_path, capsys):
+        # the parser is built once per process: a run with global and leaf
+        # flags leaves nothing behind for a later run on the defaults
+        runs = {"flags": ["zeta", "eval", "--n", "4", "--P", "1", "--s-re", "3"],
+                "defaults": ["zeta", "eval", "--P", "1"]}
+
+        def summary(name):
+            assert run_cli([*runs[name], "--out", str(tmp_path / name)]) == EXIT_OK
+            return (tmp_path / name / "zeta-eval" / "summary.json").read_text()
+
+        cached = {name: summary(name) for name in runs}
+        assert run_cli(["zeta", "eval", "--help"]) == EXIT_OK
+        assert run_cli(["zeta", "eval", "--P", "1", "--s-re", "x"]) == EXIT_CONFIG
+        cached["defaults-again"] = summary("defaults")
+        for name in runs:
+            cli._build_parser.cache_clear()
+            assert summary(name) == cached[name]
+        assert cached["defaults-again"] == cached["defaults"]
+        assert json.loads(cached["flags"])["config"]["n"] == 4
+        assert json.loads(cached["defaults"])["config"]["n"] == 2
 
 
 class TestActionRuns:

@@ -1,10 +1,13 @@
+import cmath
 import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
+from ncspectral.incgamma import upper_gamma
 from ncspectral.zeta import (
     PoleEvaluationError,
     TwistedSeries,
@@ -20,8 +23,6 @@ from ncspectral.zeta import (
 )
 from ncspectral import zeta
 from ncspectral.zeta import _dual_points, _lattice_shell_sums
-
-mpmath.mp.dps = 30
 
 
 def brute_force_sum(series, t, radius):
@@ -274,7 +275,8 @@ class TestEvaluate:
         z1 = TwistedSeries(1, {(0,): 1.0})
         for s in (4.0, 2.0, 0.5, -1.5, complex(3, 2)):
             got = evaluate(z1, s).value
-            want = 2.0 * complex(mpmath.zeta(s))
+            with mpmath.workdps(30):
+                want = 2.0 * complex(mpmath.zeta(s))
             assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
     def test_two_squares_oracle(self):
@@ -282,19 +284,22 @@ class TestEvaluate:
         # the zeta and beta functions
         z2 = TwistedSeries(2, {(0, 0): 1.0})
 
-        def beta_fn(w):
-            return complex(mpmath.nsum(lambda k: (-1) ** k / mpmath.mpf(2 * k + 1) ** w,
-                                       [0, mpmath.inf]))
+        @mpmath.workdps(30)
+        def reference(s):
+            beta = mpmath.nsum(lambda k: (-1) ** k / mpmath.mpf(2 * k + 1) ** (s / 2),
+                               [0, mpmath.inf])
+            return 4.0 * complex(mpmath.zeta(s / 2)) * complex(beta)
 
         for s in (6.0, 3.0, 1.0, complex(2.5, 1)):
             got = evaluate(z2, s).value
-            want = 4.0 * complex(mpmath.zeta(s / 2)) * beta_fn(s / 2)
+            want = reference(s)
             assert abs(got - want) < 1e-11 * max(1.0, abs(want))
 
     def test_four_squares_oracle(self):
         # lattice sum in four dimensions via the divisor-sum representation
         z4 = TwistedSeries(4, {(0, 0, 0, 0): 1.0})
 
+        @mpmath.workdps(30)
         def r4_series(s):
             w = s / 2.0
             return 8.0 * (1.0 - 4.0 ** (1.0 - w)) * complex(mpmath.zeta(w)) \
@@ -343,6 +348,7 @@ class TestEvaluate:
         assert math.isfinite(res.est_error) and res.est_error > 0
 
 
+@mpmath.workdps(30)
 def hurwitz_reference(a, s):
     """n = 1, P = 1 series at a non-integral twist a, by the functional equation.
 
@@ -394,6 +400,140 @@ class TestNearIntegralTwist:
         assert on.flags == ("pole-term",) and on.value == pytest.approx(plain.value, rel=1e-14)
         assert residue(TwistedSeries(2, {(0, 0): 1.0}, (-1.0, 2.0)), 2.0) == \
             residue(TwistedSeries(2, {(0, 0): 1.0}), 2.0)
+
+
+def continuation_radii(series, s):
+    """R of the direct shells |k|^2 <= R^2 and rho of the dual ball, as `evaluate` sizes them."""
+    n, p = series.n, series.degree
+    c_exp = max((p + n) / 2.0, 1.0)
+    x_max = zeta._LOG_EPS + abs(s.real)
+    for _ in range(40):
+        x_max = zeta._LOG_EPS + max(c_exp + abs(s.real) / 2.0, 1.0) * math.log(x_max + 2.0)
+    beta_max = zeta._LOG_EPS + (p + 2.0) * math.log(zeta._LOG_EPS + 4.0)
+    return max(2, int(math.ceil(math.sqrt(x_max)))), math.sqrt(beta_max) / math.pi
+
+
+def box_evaluate(series, s):
+    """(value, est_error) of the continuation summed over every shell of the box.
+
+    The earlier algorithm of `evaluate`, kept as a second route: the direct
+    side takes all shells of |k|_inf <= R, corners beyond |k|^2 = R^2 included,
+    and the dual side computes one incomplete gamma per point and Hermite row.
+    """
+    s = complex(s)
+    n, p = series.n, series.degree
+    radius, rho = continuation_radii(series, s)
+    shells, direct_band = _lattice_shell_sums(series, radius, lambda nsq: np.ones(len(nsq)))
+    half_s = 0.5 * s
+    direct = [shells[x] * upper_gamma(half_s, float(x)) * cmath.exp(-half_s * math.log(x))
+              for x in np.flatnonzero(shells).tolist()]
+    b = np.array(series.twist)[None, :] - _dual_points(series, rho)
+    bsq = np.sum(b * b, axis=1)
+    keep = bsq > 0.0
+    coeffs = zeta._hermite_power_coeffs(series, b[keep]).T.tolist()
+    pref = math.pi ** (n / 2.0) * (0.5j) ** p
+    beta_max = (math.pi * rho) ** 2
+    dual, dual_band = [], 0.0
+    for x, row in zip(bsq[keep].tolist(), coeffs):
+        beta = math.pi ** 2 * x
+        local = 0j
+        for r, cr in enumerate(row):
+            if cr != 0:
+                alpha = (s - n - p - r) / 2.0
+                local += cr * cmath.exp(alpha * math.log(beta)) * upper_gamma(-alpha, beta)
+        dual.append(pref * local)
+        if beta > 0.8 * beta_max:
+            dual_band += abs(pref * local)
+    total = zeta._fsum_complex(direct or [0j]) + zeta._fsum_complex(dual or [0j])
+    summed = sum(map(abs, direct)) + sum(map(abs, dual))
+    kappa = zeta._pole_coefficient(series) if zeta._on_lattice(series) else 0.0
+    if kappa != 0.0:
+        pole_term = kappa * 2.0 / (s - series.pole_location)
+        total += pole_term
+        summed += abs(pole_term)
+    rg = complex(special.rgamma(half_s))
+    const = series.constant_coefficient() * complex(special.rgamma(half_s + 1.0))
+    est = (direct_band * abs(upper_gamma(half_s, float(radius - 1) ** 2))
+           * float(radius - 1) ** (-s.real))
+    est = abs(rg) * (est + dual_band) + zeta._ROUND_REL * (abs(rg) * summed + abs(const))
+    return total * rg - const, est
+
+
+_CONT_S = [0.5, -1.5, 2.5, -0.7 + 2j, 1.25 + 3j, 3.7]
+
+
+class TestCompleteShells:
+    """`evaluate` sums the ball |k|^2 <= R^2 and computes each incomplete gamma once."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_box_summation(self, n):
+        rng = np.random.default_rng(17)
+        polys = [{(0,) * n: 1.0}, {(2,) + (0,) * (n - 1): 1.0, (0,) * (n - 1) + (2,): 0.7}]
+        twists = [None, (0.5,) * n, tuple(rng.uniform(-1.0, 1.0, n))]
+        for P in polys:
+            for twist in twists:
+                series = TwistedSeries(n, P, twist)
+                for s in _CONT_S:
+                    got = evaluate(series, s)
+                    value, est = box_evaluate(series, s)
+                    if n == 1:  # the box is the ball
+                        assert (got.value, got.est_error) == (value, est)
+                    assert abs(got.value - value) <= 2e-15 * abs(value), (P, twist, s)
+                    assert abs(got.est_error - est) <= 2e-15 * est, (P, twist, s)
+
+    @pytest.fixture
+    def gamma_calls(self, monkeypatch):
+        calls = []
+
+        def counting(a, x):
+            calls.append((complex(a), float(x)))
+            return upper_gamma(a, x)
+
+        monkeypatch.setattr(zeta, "upper_gamma", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_no_incomplete_gamma_repeats(self, gamma_calls, n):
+        rng = np.random.default_rng(5)
+        for twist in (None, (0.5,) * n, tuple(rng.uniform(-1.0, 1.0, n))):
+            series = TwistedSeries(n, {(2,) + (0,) * (n - 1): 1.0}, twist)
+            for s in _CONT_S:
+                gamma_calls.clear()
+                evaluate(series, s)
+                assert len(set(gamma_calls)) == len(gamma_calls), (twist, s)
+
+    def test_call_count_untwisted_four_dimensions(self, gamma_calls):
+        series = TwistedSeries(4, {(0, 0, 0, 0): 1.0})
+        for s in _CONT_S:
+            gamma_calls.clear()
+            evaluate(series, s)
+            radius, rho = continuation_radii(series, complex(s))
+            m = _dual_points(series, rho)
+            radii = set(np.sum(m * m, axis=1).tolist()) - {0}
+            assert len(gamma_calls) <= radius ** 2 + len(radii), s
+
+
+@mpmath.workdps(30)
+def xi_factor(s):
+    """pi^{-s/2} Gamma(s/2), the factor completing the Epstein zeta of Z^n."""
+    s = mpmath.mpc(s)
+    return complex(mpmath.pi ** (-s / 2) * mpmath.gamma(s / 2))
+
+
+class TestEpsteinReflection:
+    # xi(s) = pi^{-s/2} Gamma(s/2) Z(s) of Z^n is symmetric under s -> n - s, and
+    # the two sides run the Mellin split at different points: a second route for
+    # est_error beyond n = 1
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_error_estimate_bounds_gap(self, n):
+        series = TwistedSeries(n, {(0,) * n: 1.0})
+        for sigma in (-1.5, -0.7, 0.3, 0.5, 1.25):
+            for tau in np.arange(1, 11) / 2.0:
+                s = complex(sigma, tau)
+                a, b = evaluate(series, s), evaluate(series, n - s)
+                fa, fb = xi_factor(s), xi_factor(n - s)
+                gap = abs(fa * a.value - fb * b.value)
+                assert gap <= abs(fa) * a.est_error + abs(fb) * b.est_error, (s, gap)
 
 
 class TestResidue:
