@@ -13,11 +13,12 @@ eigenvalues are the squared window eigenvalues.  In even n the operator
 anticommutes with the chirality, so G is C* C of its chiral block C, at half
 the window size, and each singular value of C stands for the eigenvalue pair
 +-sigma; odd n squares the window matrix.  The trace is one spectral function
-of G, evaluated by one of three quadratures: exactly by a banded solve per
-lattice line when the one-form's support is collinear, exactly over the whole
-of G when the full window basis is within the dense limit, and otherwise, for
-any profile, by stochastic Lanczos quadrature over Rademacher probes with a
-standard error.  One outside-window tail bound is added to each.
+of G.  The exact paths solve once per connected block of G: a band solve per
+block when the one-form's support is collinear (its blocks are lattice lines),
+a dense solve per block otherwise, the latter when the full window basis is
+within the dense limit.  Beyond it, for any profile, stochastic Lanczos
+quadrature over Rademacher probes gives the trace with a standard error.  One
+outside-window tail bound is added to each.
 Unperturbed traces are lattice sums, and every lattice-sum decision (direct
 or Poisson-dual side, shell sums and their box guard, the integral-twist
 test) is made in `zeta`; this module only calls it.
@@ -75,6 +76,7 @@ __all__ = [
 ]
 
 _DENSE_LIMIT = 20_000
+_EXACT_LIMIT = 10_000_000  # exact paths assemble the whole window, about 0.7 KB per basis element
 _PROBES = 64
 _PROBE_SEED = 7
 _CHUNK_PATHS = 1 << 8  # candidate step tuples per slice of nc_integral_power, bounding its memory
@@ -166,7 +168,7 @@ class HeatSample:
     stderr: float = 0.0
 
 
-_HEAT_METHODS = ("auto", "exact-formula", "chain", "dense-window")
+_HEAT_METHODS = ("auto", "dense-window")
 
 
 def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
@@ -178,10 +180,11 @@ def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
     With no perturbation the exact lattice formula 2^m sum_k e^{-t |k|^2}
     applies (`zeta.gaussian_sum`).  With a perturbation this is the Gaussian
     spectral action at lam = t^{-1/2}, computed by the one perturbed-trace
-    engine (`_perturbed_trace`): chain, dense or stochastic quadrature of the
-    profile on the chiral Gram matrix, the last with `probes` Rademacher probes
-    (at least 2) and a standard error.  `method` is one of auto, exact-formula,
-    chain or dense-window; chain needs a collinear support.
+    engine (`_perturbed_trace`) on the chiral Gram matrix: one solve per
+    connected block, band on collinear supports and dense otherwise, or
+    stochastic quadrature with `probes` Rademacher probes (at least 2) and a
+    standard error.  `method` is auto or dense-window; dense-window forces a
+    dense solve per block, for any support and window size.
     """
     if method not in _HEAT_METHODS:
         raise ValueError(f"unknown heat-trace method {method!r}; expected one of {_HEAT_METHODS}")
@@ -191,7 +194,7 @@ def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
         raise ValueError("a stochastic trace needs at least 2 probes")
     m = n // 2
     if A is None or A.is_zero():
-        if method in ("auto", "exact-formula"):
+        if method == "auto":
             val = gaussian_sum(TwistedSeries(n, {(0,) * n: 1.0}), t).real
             return HeatSample(t=t, value=(2 ** m) * val, tail_bound=(2 ** m) * 1e-16 * abs(val),
                               method="exact-formula")
@@ -199,8 +202,6 @@ def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
         theta = theta if theta is not None else DeformationMatrix.zero(n)
     if theta is None:
         raise ValueError("a deformation matrix is required with a perturbation")
-    if method == "exact-formula":
-        raise ValueError("exact-formula method requires A = None")
 
     profile, lam = CutoffProfile.gaussian(), t ** -0.5
     K = _window_K(profile, lam, A, window_K)
@@ -208,19 +209,12 @@ def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
     return HeatSample(t=t, value=val, tail_bound=tail, method=path, window_K=K, stderr=err)
 
 
-def _collinear_direction(A: OneForm) -> tuple[int, ...] | None:
-    """Primitive common direction of all support shifts, or None."""
+def _collinear(A: OneForm) -> bool:
+    """Whether A has a nonzero support shift and all of them lie on one line through 0."""
     pts = [h for c in A.components for h, _ in c.items() if any(h)]
-    if not pts:
-        return None
-    g = math.gcd(*pts[0])
-    d = tuple(x // g for x in pts[0])
-    if next(x for x in d if x) < 0:
-        d = tuple(-x for x in d)  # canonical sign: first nonzero positive
-    # h is parallel to the primitive d, hence an integer multiple, iff all 2x2 minors vanish
-    if any(h[i] * d[j] != h[j] * d[i] for h in pts for i in range(len(d)) for j in range(i)):
-        return None
-    return d
+    # h is parallel to pts[0] iff all 2x2 minors vanish
+    return bool(pts) and all(h[i] * pts[0][j] == h[j] * pts[0][i]
+                             for h in pts for i in range(A.n) for j in range(i))
 
 
 def _window_K(profile: CutoffProfile, lam: float, A: OneForm, window_K: int | None = None) -> int:
@@ -239,7 +233,7 @@ def _check_basis(basis_size: int, limit: int, kind: str = "dense") -> None:
     if basis_size > limit:
         raise WindowError(
             f"window basis {basis_size} exceeds {kind} limit {limit}; "
-            "use a collinear one-form or a smaller scale")
+            "use a smaller scale or window")
 
 
 def _perturbed_trace(profile: CutoffProfile, lam: float, A: OneForm,
@@ -250,23 +244,20 @@ def _perturbed_trace(profile: CutoffProfile, lam: float, A: OneForm,
 
     The trace is one spectral function f(mu) = mult * profile(sqrt(mu) / lam)
     of the Gram matrix G of `_chiral_gram`, whose eigenvalues mu are the squared
-    |eigenvalues| of the window matrix (so the profile must be even).  A
-    collinear support splits G into the lattice lines k0 + Z d along its
-    direction d, and `_line_eigenvalues` makes one banded solve per lattice line
-    (chain-window).  A full window basis N within
-    the dense limit, or a forced dense path, diagonalizes G whole
-    (dense-window).  Otherwise the mean of Lanczos quadratures over probes
-    estimates it (hutchinson, with a standard error), on a window checked
-    against `DEFAULT_BASIS_LIMIT` before it is built.
+    |eigenvalues| of the window matrix (so the profile must be even).  The
+    exact paths make one solve per connected block of G (`_block_eigenvalues`):
+    a band solve on a collinear support (chain-window), whose blocks are
+    lattice lines, and a dense solve per block when the full window basis N is
+    within the dense limit or the dense path is forced (dense-window).
+    Otherwise the mean of Lanczos quadratures over probes estimates it
+    (hutchinson, with a standard error).  N is checked against the stochastic or
+    the exact limit before the window is built.
     """
     N = _window_basis(A.n, K)
-    d = None if method == "dense-window" else _collinear_direction(A)
-    chain = d is not None
-    if method == "chain" and not chain:
-        raise WindowError("chain method needs a nonzero one-form with collinear support")
+    chain = method != "dense-window" and _collinear(A)
     stochastic = method == "auto" and not chain and N > dense_limit
-    if stochastic:
-        _check_basis(N, DEFAULT_BASIS_LIMIT, "stochastic")
+    limit = (DEFAULT_BASIS_LIMIT, "stochastic") if stochastic else (_EXACT_LIMIT, "exact")
+    _check_basis(N, *limit)
     window = ModeWindow(A.n, K, spinor_dim=2 ** (A.n // 2))
     M = assemble_sparse(covariant_dirac(A, theta), window, basis_limit=N)
     G, mult = _chiral_gram(M, window)
@@ -281,7 +272,7 @@ def _perturbed_trace(profile: CutoffProfile, lam: float, A: OneForm,
                    for _ in range(probes)]
         return (float(np.mean(samples)), tail, "hutchinson",
                 float(np.std(samples, ddof=1)) / math.sqrt(probes))
-    mu = _line_eigenvalues(G, window.grid, d) if chain else np.linalg.eigvalsh(G.toarray())
+    mu = _block_eigenvalues(G, banded=chain)
     return float(np.sum(f(mu))), tail, "chain-window" if chain else "dense-window", 0.0
 
 
@@ -335,48 +326,53 @@ def _chiral_gram(M, window: ModeWindow) -> tuple[csr_matrix, int]:
     return (C.conj().T @ C).tocsr(), 2
 
 
-def _line_eigenvalues(G, grid: np.ndarray, d: tuple[int, ...]) -> np.ndarray:
-    """Eigenvalues of a hermitian window operator that moves modes only along d.
+def _block_eigenvalues(G, banded: bool) -> np.ndarray:
+    """Eigenvalues of a hermitian sparse G, one solve per connected block of its nonzero pattern.
 
-    Such an operator is block-diagonal over the lattice lines k0 + Z d of the
-    window, with G.shape[0] // len(grid) components per mode.  The 2x2 minors
-    k_i d_j - k_j d_i are constant on a line and, d being primitive, differ
-    between lines, so one lexsort on them (then on k.d) lays every line out as
-    one run of consecutive modes; a window is convex, so consecutive modes of
-    a run differ by d.  Permuted so, G is one band per line.  Its bandwidth b
-    is read off the permuted pattern, one lower band array (b+1, N) is filled,
-    and each line's column slice goes to LAPACK's hermitian band eigensolver
-    (hbevd).  Zeros where sin(1/2 h.Theta k) vanishes simply sit in the band.
+    One-row blocks are read off the diagonal at once.  A stable sort by block
+    keeps G's (lexicographic window) order inside each other block, and the
+    entries are permuted once through their coordinates.  With `banded` (a
+    collinear support: each block is a stretch of a lattice line, consecutive
+    modes a hop apart) one lower band array (b + 1, rows) of the permuted
+    bandwidth b is filled and each block's column slice goes to LAPACK's
+    hermitian band eigensolver (hbevd); otherwise each block is one dense eigvalsh.
     """
     from scipy.linalg import LinAlgError, get_lapack_funcs
+    from scipy.sparse.csgraph import connected_components
 
-    d = np.asarray(d, dtype=np.int64)
-    i, j = np.triu_indices(len(d), 1)
-    minors = grid[:, i] * d[j] - grid[:, j] * d[i]
-    order = np.lexsort((grid @ d, *minors.T))
-    ends = np.flatnonzero(np.any(np.diff(minors[order], axis=0) != 0, axis=1)) + 1
-    comps = G.shape[0] // len(grid)
-    perm = (order[:, None] * comps + np.arange(comps)).ravel()  # new position -> old index
-    where = np.empty_like(perm)
+    # the pattern is built here, as csgraph would cast complex weights to float
+    _, label = connected_components(G != 0, directed=False)
+    sizes = np.bincount(label)
+    single = sizes[label] == 1
+    eigs = [G.diagonal()[single].real]
+    multi = np.flatnonzero(~single)
+    perm = multi[np.argsort(label[multi], kind="stable")]  # new position -> old index
+    where = np.full(G.shape[0], -1)
     where[perm] = np.arange(len(perm))
     coo = G.tocoo()
-    row, col = where[coo.row], where[coo.col]
-    low = row >= col
-    offset = row[low] - col[low]
-    b = int(offset.max(initial=0))
-    bounds = comps * np.concatenate([[0], ends, [len(grid)]])
-    line = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    if np.any((line[row] != line[col]) & (coo.data != 0)):
-        raise ValueError(f"operator couples different lattice lines along {tuple(d)}")
-    band = np.zeros((b + 1, len(perm)), dtype=complex, order="F")
-    band[offset, col[low]] = coo.data[low]
-    hbevd = get_lapack_funcs("hbevd", (band,))
-    eigs = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        w, _, info = hbevd(band[:min(b, hi - lo - 1) + 1, lo:hi], compute_v=0, lower=1)
-        if info:
-            raise LinAlgError(f"hbevd failed on a line of {hi - lo} rows (info {info})")
-        eigs.append(w)
+    keep = (coo.data != 0) & (where[coo.row] >= 0)
+    row, col, data = where[coo.row[keep]], where[coo.col[keep]], coo.data[keep]
+    bounds = np.concatenate([[0], np.cumsum(sizes[sizes > 1])])
+    if banded:
+        low = row >= col
+        offset = row[low] - col[low]
+        b = int(offset.max(initial=0))
+        band = np.zeros((b + 1, len(perm)), dtype=complex, order="F")
+        band[offset, col[low]] = data[low]
+        hbevd = get_lapack_funcs("hbevd", (band,))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            w, _, info = hbevd(band[:min(b, hi - lo - 1) + 1, lo:hi], compute_v=0, lower=1)
+            if info:
+                raise LinAlgError(f"hbevd failed on a block of {hi - lo} rows (info {info})")
+            eigs.append(w)
+    else:
+        order = np.argsort(row, kind="stable")
+        row, col, data = row[order], col[order], data[order]
+        starts = np.searchsorted(row, bounds)
+        for lo, hi, s, e in zip(bounds[:-1], bounds[1:], starts[:-1], starts[1:]):
+            block = np.zeros((hi - lo, hi - lo), dtype=G.dtype)
+            block[row[s:e] - lo, col[s:e] - lo] = data[s:e]
+            eigs.append(np.linalg.eigvalsh(block))
     return np.concatenate(eigs)
 
 
@@ -493,11 +489,11 @@ def spectral_action(profile: CutoffProfile, lam: float, n: int,
     Unperturbed Gaussian runs through the heat-trace code path at t = 1/lam^2;
     other unperturbed profiles are summed directly over the lattice.  With a
     perturbation the one perturbed-trace engine (`_perturbed_trace`) evaluates
-    the profile on the chiral Gram matrix: exactly by a banded solve per lattice
-    line or on the dense window, and stochastically, for any profile and with a
-    standard error, when a non-collinear support's full window basis exceeds the
-    dense limit.  A rational profile with 2r <= n raises MomentError before any
-    window is built, as the trace diverges.
+    the profile on the chiral Gram matrix: exactly by one solve per connected
+    block, band on collinear supports and dense otherwise, and stochastically,
+    for any profile and with a standard error, when a non-collinear support's
+    full window basis exceeds the dense limit.  A rational profile with 2r <= n
+    raises MomentError before any window is built, as the trace diverges.
     """
     if lam <= 0:
         raise ValueError("cutoff scale must be positive")
@@ -560,9 +556,9 @@ def fit_expansion(profile: CutoffProfile, lam_grid: Sequence[float], n: int,
 
     Returns the c_k with uncertainties from the residual; the caller widens
     the grid when the reported conditioning is poor.  Every dense window of
-    the grid is checked against the dense limit, and the largest lattice box
-    of an unperturbed non-Gaussian profile against the lattice guard, before
-    the first sum.
+    the grid is checked against the dense limit, every chain window against the
+    exact limit, and the largest lattice box of an unperturbed non-Gaussian
+    profile against the lattice guard, before the first sum.
     """
     lams = [float(x) for x in lam_grid]
     if len(lams) < n + 3:
@@ -571,9 +567,10 @@ def fit_expansion(profile: CutoffProfile, lam_grid: Sequence[float], n: int,
         raise ValueError("grid spread must cover at least a factor of 4")
     if (A is None or A.is_zero()) and profile.name != "gaussian":
         check_lattice_box(n, _profile_window_radius(profile, max(lams)))
-    elif A is not None and not A.is_zero() and _collinear_direction(A) is None:
+    elif A is not None and not A.is_zero():
+        limit = (_EXACT_LIMIT, "exact") if _collinear(A) else (_DENSE_LIMIT, "dense")
         for lam in lams:
-            _check_basis(_window_basis(n, _window_K(profile, lam, A)), _DENSE_LIMIT)
+            _check_basis(_window_basis(n, _window_K(profile, lam, A)), *limit)
 
     values = [spectral_action(profile, lam, n, theta=theta, A=A).value for lam in lams]
     powers = list(range(n, -1, -1)) + [-1]

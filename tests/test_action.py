@@ -22,8 +22,8 @@ from ncspectral.action import (
     tau_F_squared,
     twisted_heat_trace,
 )
-from ncspectral.action import (_chiral_gram, _collinear_direction, _lanczos_quadrature,
-                               _line_eigenvalues, _outside_tail)
+from ncspectral.action import (_block_eigenvalues, _chiral_gram, _collinear, _lanczos_quadrature,
+                               _outside_tail)
 from ncspectral.clifford import build_gamma
 from ncspectral.diophantine import golden_ratio, jarnik_construct, power_profile
 from ncspectral.operators import (
@@ -91,9 +91,15 @@ class TestHeatTrace:
                              for k1 in range(-14, 15) for k2 in range(-14, 15))
             assert heat_trace(2, t).value == pytest.approx(want, rel=1e-12)
 
-    def test_dense_window_matches_exact_for_zero_potential(self):
+    def test_dense_window_matches_exact_for_zero_potential(self, monkeypatch):
         th = theta_block(2)
         exact = heat_trace(2, 0.5).value
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvalsh called on one-row blocks")
+
+        # a zero one-form leaves G diagonal: every row is a one-row block, with no solve
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         dense = heat_trace(2, 0.5, theta=th, A=OneForm.zero(2), method="dense-window")
         assert dense.value == pytest.approx(exact, rel=1e-10)
         assert dense.tail_bound < 1e-10 * abs(exact)
@@ -118,20 +124,18 @@ class TestHeatTrace:
     def test_rejects_unknown_method(self):
         th = theta_block(2)
         A = OneForm.from_terms(2, [(1, (1, 0), 0.3), (2, (0, 1), 0.2j)])
-        for method in ("bogus", "exact"):
+        for method in ("bogus", "exact", "chain", "exact-formula"):
             with pytest.raises(ValueError, match="unknown heat-trace method"):
                 heat_trace(2, 0.8, theta=th, A=A, method=method)
 
     def test_chain_rejects_noncollinear_support(self):
         th = theta_block(2)
         A = OneForm.from_terms(2, [(1, (1, 0), 0.3), (2, (0, 1), 0.2j)])
-        with pytest.raises(WindowError):
-            heat_trace(2, 0.8, theta=th, A=A, method="chain", window_K=3)
+        assert heat_trace(2, 0.8, theta=th, A=A, window_K=3).method == "dense-window"
 
     def test_chain_rejects_zero_one_form(self):
-        with pytest.raises(WindowError):
-            heat_trace(2, 0.8, theta=theta_block(2), A=OneForm.zero(2), method="chain",
-                       window_K=3)
+        hs = heat_trace(2, 0.8, theta=theta_block(2), A=OneForm.zero(2), window_K=3)
+        assert hs.method == "exact-formula"
 
 
 class TestTwistedHeatTrace:
@@ -333,10 +337,11 @@ def _dense_reference(profile, lam, th, A, K):
 
 class TestChainDecomposition:
     def test_direction_detection(self):
-        A = OneForm.from_terms(2, [(1, (1, 0), 0.4), (2, (2, 0), -0.3j)])
-        assert _collinear_direction(A) == (1, 0)
+        A = OneForm.from_terms(2, [(1, (1, 0), 0.4), (2, (-2, 0), -0.3j)])
+        assert _collinear(A)
         B = OneForm.from_terms(2, [(1, (1, 0), 0.4), (2, (0, 1), -0.3j)])
-        assert _collinear_direction(B) is None
+        assert not _collinear(B)
+        assert not _collinear(OneForm.from_terms(2, [(1, (0, 0), 0.4)]))
 
     def test_eigenvalues_match_dense(self):
         # a purely imaginary coefficient gives purely imaginary hops, which a
@@ -345,7 +350,7 @@ class TestChainDecomposition:
         window = ModeWindow(2, 4, spinor_dim=2)
         for z in (0.4 - 0.2j, 0.3j):
             DA = covariant_dirac(OneForm.from_terms(2, [(1, (0, 1), z)]), th)
-            chain = np.sort(_line_eigenvalues(assemble_sparse(DA, window), window.grid, (0, 1)))
+            chain = np.sort(_block_eigenvalues(assemble_sparse(DA, window), banded=True))
             dense = np.linalg.eigvalsh(assemble_dense(DA, window))
             assert np.allclose(chain, dense, atol=1e-11)
 
@@ -360,6 +365,8 @@ _CHIRAL_CASES = {
     "n2-noncollinear-real": (2, 6, 2.0, [(1, (1, 0), 0.3), (2, (0, 1), 0.25)]),
     "n2-noncollinear-imag": (2, 6, 2.0, [(1, (1, 0), 0.3j), (2, (0, 1), -0.2j)]),
     "n2-noncollinear-complex": (2, 6, 2.0, [(1, (1, 0), 0.3 + 0.1j), (2, (1, 1), 0.2 - 0.3j)]),
+    "n2-index2-complex": (2, 6, 2.0, [(1, (1, 1), 0.3 - 0.1j), (2, (1, -1), 0.2j)]),
+    "n2-index4-imag": (2, 6, 2.0, [(1, (2, 0), 0.3j), (2, (0, 2), -0.25j)]),
     "n4-collinear": (4, 2, 1.0, [(1, (0, 1, 0, 0), 0.37)]),
     "n4-noncollinear": (4, 2, 1.0, [(1, (1, 0, 0, 0), 0.3), (2, (0, 1, 0, 0), 0.25j)]),
     "n3-collinear": (3, 3, 1.5, [(2, (1, 0, 0), 0.3 - 0.1j)]),
@@ -373,17 +380,17 @@ class TestChiralRoute:
         n, K, lam, terms = _CHIRAL_CASES[case]
         th = THETA_3 if n == 3 else theta_block(n)
         A = OneForm.from_terms(n, terms)
-        collinear = _collinear_direction(A) is not None
+        collinear = _collinear(A)
         gauss, sgauss = CutoffProfile.gaussian(), CutoffProfile.super_gaussian()
         eigs = _window_eigs(n, K, th, A)
 
         def want(profile):
             return float(np.sum([profile(abs(x) / lam) for x in eigs]))
 
-        methods = ("chain", "dense-window") if collinear else ("dense-window",)
-        for method in methods:
+        for method in ("auto", "dense-window"):
             hs = heat_trace(n, lam ** -2, theta=th, A=A, method=method, window_K=K)
-            assert hs.method == ("chain-window" if method == "chain" else method)
+            assert hs.method == ("chain-window" if collinear and method == "auto"
+                                 else "dense-window")
             assert hs.value == pytest.approx(want(gauss), rel=1e-12)
         sa = spectral_action(sgauss, lam, n, theta=th, A=A, window_K=K)
         assert sa.method == ("chain-window" if collinear else "dense-window")
@@ -672,27 +679,38 @@ class TestConstantTerm:
 
 
 class TestLineEngine:
-    @pytest.mark.parametrize("case", [c for c in _CHIRAL_CASES if "-collinear" in c])
+    @pytest.mark.parametrize("case", list(_CHIRAL_CASES))
     def test_gram_eigenvalues_match_eigvalsh(self, case):
         # oracle: eigvalsh of the whole Gram matrix; TestChiralRoute checks the traces.
         # Every window holds the line k_perp = 0, where sin(1/2 h.Theta k) vanishes
-        # for every hop and the band is zero off the diagonal.
+        # for every hop and the modes split into one-row blocks.
         n, K, _, terms = _CHIRAL_CASES[case]
         th = THETA_3 if n == 3 else theta_block(n)
         A = OneForm.from_terms(n, terms)
         window = ModeWindow(n, K, spinor_dim=2 ** (n // 2))
         G, _ = _chiral_gram(assemble_sparse(covariant_dirac(A, th), window), window)
-        mu = np.sort(_line_eigenvalues(G, window.grid, _collinear_direction(A)))
         want = np.linalg.eigvalsh(G.toarray())
-        assert np.max(np.abs(mu - want)) <= 1e-12 * np.max(want)
+        for banded in (True, False) if _collinear(A) else (False,):
+            mu = np.sort(_block_eigenvalues(G, banded))
+            assert np.max(np.abs(mu - want)) <= 1e-12 * np.max(want)
 
-    def test_rejects_operator_off_the_lines(self):
-        # hops along e_1 and e_2 couple the lines of d = (1, 0): no silent band cut
-        A = OneForm.from_terms(2, [(1, (1, 0), 0.3), (2, (0, 1), 0.25)])
-        window = ModeWindow(2, 3, spinor_dim=2)
-        G, _ = _chiral_gram(assemble_sparse(covariant_dirac(A, theta_block(2)), window), window)
-        with pytest.raises(ValueError, match="couples different lattice lines"):
-            _line_eigenvalues(G, window.grid, (1, 0))
+    @pytest.mark.parametrize("case, largest", [("n4-noncollinear", 2 * 5 ** 2),
+                                               ("n2-index4-imag", 7 ** 2)])
+    def test_dense_path_solves_blocks_not_the_window(self, case, largest, monkeypatch):
+        # hops e_1, e_2 in n = 4 keep (k_3, k_4), a plane of 25 modes x 2 rows; hops
+        # 2 e_1, 2 e_2 keep k mod 2, at most 7 x 7 modes of the 13 x 13 window
+        n, K, lam, terms = _CHIRAL_CASES[case]
+        sizes, eigvalsh = [], np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        hs = heat_trace(n, lam ** -2, theta=theta_block(n), A=OneForm.from_terms(n, terms),
+                        window_K=K)
+        assert hs.method == "dense-window"
+        assert len(sizes) > 1 and max(sizes) <= largest
 
     def test_chain_path_never_calls_eigvalsh(self, monkeypatch):
         # the chain path solves bands only; a dense per-block fallback would call eigvalsh
@@ -702,10 +720,21 @@ class TestLineEngine:
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         th = theta_block(2)
         A = OneForm.from_terms(2, [(1, (1, 0), 0.3 + 0.1j), (2, (2, 0), 0.2j)])
-        hs = heat_trace(2, 0.16, theta=th, A=A, method="chain")
+        hs = heat_trace(2, 0.16, theta=th, A=A)
         sa = spectral_action(CutoffProfile.gaussian(), 2.5, 2, theta=th, A=A)
         assert hs.method == sa.method == "chain-window"
         assert hs.value > 0 and sa.value > 0
+
+    def test_chain_window_capped_before_assembly(self):
+        # n = 4 at lam = 3 has a box basis of 16,402,500; assembling it ran out of memory
+        th, p = theta_block(4), CutoffProfile.gaussian()
+        A = OneForm.from_terms(4, [(1, (0, 1, 0, 0), 0.37)])
+        start = time.perf_counter()
+        with pytest.raises(WindowError, match="16402500 exceeds exact limit"):
+            spectral_action(p, 3.0, 4, theta=th, A=A)
+        with pytest.raises(WindowError, match="16402500 exceeds exact limit"):
+            fit_expansion(p, [0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0], 4, theta=th, A=A)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestHutchinson:
