@@ -6,9 +6,11 @@ grid, and the residue-based noncommutative integrals of powers of
 (perturbation times inverse Dirac) that assemble the constant term of the
 expansion.
 
-Perturbed heat traces and spectral actions share one engine, since the heat
-trace at t is the Gaussian action at lam = t^{-1/2}.  It compresses the
-covariant Dirac operator to a mode window and forms a Gram matrix G whose
+Perturbed heat traces and spectral actions share one plan and one engine, since
+the heat trace at t is the Gaussian action at lam = t^{-1/2}; every trace is a
+`TraceValue`.  The plan (`_plan`, also the preflight of fits) fixes the window
+radius, basis, path and size check before anything is built.  The engine
+compresses the covariant Dirac operator to a mode window and forms a Gram matrix G whose
 eigenvalues are the squared window eigenvalues.  In even n the operator
 anticommutes with the chirality, so G is C* C of its chiral block C, at half
 the window size, and each singular value of C stands for the eigenvalue pair
@@ -58,8 +60,7 @@ from .zeta import (TwistedSeries, _lattice_shell_sums, check_lattice_box, gaussi
 __all__ = [
     "CutoffProfile",
     "MomentError",
-    "HeatSample",
-    "ActionValue",
+    "TraceValue",
     "ExpansionFit",
     "ScalingReport",
     "NcIntegral",
@@ -88,35 +89,43 @@ class MomentError(ValueError):
 
 @dataclass(frozen=True)
 class CutoffProfile:
-    """Even positive cutoff profile on [0, inf), from a named preset."""
+    """Even positive cutoff profile on [0, inf), from a named preset.
+
+    `reach(lam)` is the lattice radius past which profile(|k| / lam) is
+    negligible; profile(u) falls like u^-decay (decay inf: faster than any power).
+    """
 
     name: str
     fn: Callable[[float], float] = field(repr=False)
-    params: tuple = ()
+    reach: Callable[[float], int] = field(repr=False)
+    decay: float = math.inf
 
     @classmethod
     def gaussian(cls) -> "CutoffProfile":
-        return cls("gaussian", lambda x: math.exp(-x * x))
+        return cls("gaussian", lambda x: math.exp(-x * x),
+                   lambda lam: int(math.ceil(lam * math.sqrt(42.0))))
 
     @classmethod
     def super_gaussian(cls) -> "CutoffProfile":
-        return cls("super-gaussian", lambda x: math.exp(-x ** 4))
+        return cls("super-gaussian", lambda x: math.exp(-x ** 4),
+                   lambda lam: int(math.ceil(lam * 42.0 ** 0.25)) + 1)
 
     @classmethod
-    def rational_decay(cls, r: float) -> "CutoffProfile":
+    def rational_decay(cls, r: float = 3.0) -> "CutoffProfile":
         if r <= 0:
             raise ValueError("rational profile needs r > 0")
-        return cls("rational", lambda x: (1.0 + x * x) ** (-r), (float(r),))
+        decay = 2.0 * r
+        return cls("rational", lambda x: (1.0 + x * x) ** (-r),
+                   lambda lam: int(math.ceil(lam * 10.0 ** (14.0 / decay))), decay)
 
     @classmethod
     def preset(cls, name: str, **params) -> "CutoffProfile":
-        if name == "gaussian":
-            return cls.gaussian()
-        if name in ("super-gaussian", "super_gaussian"):
-            return cls.super_gaussian()
-        if name == "rational":
-            return cls.rational_decay(params.get("r", 3.0))
-        raise ValueError(f"unknown profile preset {name!r}")
+        """Preset by name; only the rational profile takes a parameter, r."""
+        makers = {"gaussian": cls.gaussian, "super-gaussian": cls.super_gaussian,
+                  "super_gaussian": cls.super_gaussian, "rational": cls.rational_decay}
+        if name not in makers:
+            raise ValueError(f"unknown profile preset {name!r}")
+        return makers[name](**params)  # TypeError on a parameter the preset lacks
 
     def __call__(self, x):
         """profile(|x|) for a float, or entrywise for an array.
@@ -143,9 +152,9 @@ def moments(profile: CutoffProfile, k: int) -> float:
     """
     if k < 1:
         raise ValueError("moment index must be >= 1")
-    if profile.name == "rational" and 2.0 * profile.params[0] <= k:
+    if k >= profile.decay:
         raise MomentError(
-            f"moment {k} of the rational profile diverges for r = {profile.params[0]}")
+            f"moment {k} of the {profile.name} profile diverges (decay u^-{profile.decay:g})")
     val, err = quad(lambda u: profile.fn(u) * u ** (k - 1), 0.0, np.inf,
                     epsabs=1e-14, epsrel=1e-13, limit=300)
     if not math.isfinite(val) or (abs(val) > 0 and err > 1e-10 * abs(val)):
@@ -159,9 +168,11 @@ def _moment_weight(profile: CutoffProfile, k: int) -> float:
 
 
 @dataclass(frozen=True)
-class HeatSample:
-    t: float
-    value: complex
+class TraceValue:
+    """A trace, its tail bound and path; `window_K` is the radius of a window path
+    (None on lattice paths), `stderr` the standard error of hutchinson (else 0)."""
+
+    value: float | complex
     tail_bound: float
     method: str
     window_K: int | None = None
@@ -174,17 +185,16 @@ _HEAT_METHODS = ("auto", "dense-window")
 def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
                A: OneForm | None = None, method: str = "auto",
                window_K: int | None = None, dense_limit: int = _DENSE_LIMIT,
-               probes: int = _PROBES) -> HeatSample:
+               probes: int = _PROBES) -> TraceValue:
     """Trace of e^{-t D_A^2}.
 
     With no perturbation the exact lattice formula 2^m sum_k e^{-t |k|^2}
-    applies (`zeta.gaussian_sum`).  With a perturbation this is the Gaussian
-    spectral action at lam = t^{-1/2}, computed by the one perturbed-trace
-    engine (`_perturbed_trace`) on the chiral Gram matrix: one solve per
-    connected block, band on collinear supports and dense otherwise, or
-    stochastic quadrature with `probes` Rademacher probes (at least 2) and a
-    standard error.  `method` is auto or dense-window; dense-window forces a
-    dense solve per block, for any support and window size.
+    applies (`zeta.gaussian_sum`).  With a perturbation, or with the dense
+    path forced, this is the Gaussian spectral action at lam = t^{-1/2}: the
+    plan and engine of `spectral_action` (`_plan`, `_perturbed_trace`), with
+    `probes` Rademacher probes (at least 2) on the stochastic path.  `method`
+    is auto or dense-window; dense-window forces a dense solve per block, for
+    any support and window size.
     """
     if method not in _HEAT_METHODS:
         raise ValueError(f"unknown heat-trace method {method!r}; expected one of {_HEAT_METHODS}")
@@ -196,17 +206,12 @@ def heat_trace(n: int, t: float, theta: DeformationMatrix | None = None,
     if A is None or A.is_zero():
         if method == "auto":
             val = gaussian_sum(TwistedSeries(n, {(0,) * n: 1.0}), t).real
-            return HeatSample(t=t, value=(2 ** m) * val, tail_bound=(2 ** m) * 1e-16 * abs(val),
-                              method="exact-formula")
+            return TraceValue((2 ** m) * val, (2 ** m) * 1e-16 * abs(val), "exact-formula")
         A = OneForm.zero(n)
         theta = theta if theta is not None else DeformationMatrix.zero(n)
-    if theta is None:
-        raise ValueError("a deformation matrix is required with a perturbation")
-
-    profile, lam = CutoffProfile.gaussian(), t ** -0.5
-    K = _window_K(profile, lam, A, window_K)
-    val, tail, path, err = _perturbed_trace(profile, lam, A, theta, K, method, dense_limit, probes)
-    return HeatSample(t=t, value=val, tail_bound=tail, method=path, window_K=K, stderr=err)
+    gaussian, lam = CutoffProfile.gaussian(), t ** -0.5
+    plan = _plan(gaussian, lam, A, window_K, method, dense_limit)
+    return _perturbed_trace(gaussian, lam, A, theta, plan, probes)
 
 
 def _collinear(A: OneForm) -> bool:
@@ -217,47 +222,45 @@ def _collinear(A: OneForm) -> bool:
                              for h in pts for i in range(A.n) for j in range(i))
 
 
-def _window_K(profile: CutoffProfile, lam: float, A: OneForm, window_K: int | None = None) -> int:
-    """window_K if given, else the profile's lattice radius plus the support spread."""
-    if window_K is not None:
-        return window_K
-    return _profile_window_radius(profile, lam) + A.spread + 1
+def _plan(profile: CutoffProfile, lam: float, A: OneForm, window_K: int | None = None,
+          method: str = "auto", dense_limit: int = _DENSE_LIMIT) -> tuple[int, int, str]:
+    """(radius K, basis N, path) of a perturbed trace, size-checked before anything is built.
 
-
-def _window_basis(n: int, K: int) -> int:
-    """Basis size N of the radius-K max-norm window with 2^{n//2} spinor components."""
-    return (2 * K + 1) ** n * 2 ** (n // 2)
-
-
-def _check_basis(basis_size: int, limit: int, kind: str = "dense") -> None:
-    if basis_size > limit:
-        raise WindowError(
-            f"window basis {basis_size} exceeds {kind} limit {limit}; "
-            "use a smaller scale or window")
+    K is window_K, else the profile's reach plus the support spread plus 1; N
+    counts the max-norm box of radius K times 2^{n//2} spinors.  The path is
+    chain-window on a collinear support unless dense-window is forced, else
+    dense-window when forced or within the dense limit, else hutchinson.
+    """
+    K = window_K if window_K is not None else profile.reach(lam) + A.spread + 1
+    N = (2 * K + 1) ** A.n * 2 ** (A.n // 2)
+    if method != "dense-window" and _collinear(A):
+        path = "chain-window"
+    else:
+        path = "dense-window" if method == "dense-window" or N <= dense_limit else "hutchinson"
+    kind, limit = (("stochastic", DEFAULT_BASIS_LIMIT) if path == "hutchinson"
+                   else ("exact", _EXACT_LIMIT))
+    if N > limit:
+        raise WindowError(f"window basis {N} exceeds {kind} limit {limit}; "
+                          "use a smaller scale or window")
+    return K, N, path
 
 
 def _perturbed_trace(profile: CutoffProfile, lam: float, A: OneForm,
-                     theta: DeformationMatrix, K: int, method: str = "auto",
-                     dense_limit: int = _DENSE_LIMIT, probes: int = _PROBES
-                     ) -> tuple[float, float, str, float]:
-    """(Tr profile(D_A / lam) on the radius-K window, outside-window tail bound, path, stderr).
+                     theta: DeformationMatrix | None, plan: tuple[int, int, str],
+                     probes: int = _PROBES) -> TraceValue:
+    """Tr profile(D_A / lam) on the window of a `_plan`, with its outside-window tail bound.
 
     The trace is one spectral function f(mu) = mult * profile(sqrt(mu) / lam)
     of the Gram matrix G of `_chiral_gram`, whose eigenvalues mu are the squared
     |eigenvalues| of the window matrix (so the profile must be even).  The
     exact paths make one solve per connected block of G (`_block_eigenvalues`):
-    a band solve on a collinear support (chain-window), whose blocks are
-    lattice lines, and a dense solve per block when the full window basis N is
-    within the dense limit or the dense path is forced (dense-window).
-    Otherwise the mean of Lanczos quadratures over probes estimates it
-    (hutchinson, with a standard error).  N is checked against the stochastic or
-    the exact limit before the window is built.
+    a band solve per block on chain-window, whose blocks are lattice lines,
+    and a dense solve per block on dense-window.  On hutchinson the mean of
+    Lanczos quadratures over probes estimates it, with a standard error.
     """
-    N = _window_basis(A.n, K)
-    chain = method != "dense-window" and _collinear(A)
-    stochastic = method == "auto" and not chain and N > dense_limit
-    limit = (DEFAULT_BASIS_LIMIT, "stochastic") if stochastic else (_EXACT_LIMIT, "exact")
-    _check_basis(N, *limit)
+    if theta is None:
+        raise ValueError("a deformation matrix is required with a perturbation")
+    K, N, path = plan
     window = ModeWindow(A.n, K, spinor_dim=2 ** (A.n // 2))
     M = assemble_sparse(covariant_dirac(A, theta), window, basis_limit=N)
     G, mult = _chiral_gram(M, window)
@@ -266,14 +269,14 @@ def _perturbed_trace(profile: CutoffProfile, lam: float, A: OneForm,
         return mult * profile(np.sqrt(np.maximum(mu, 0.0)) / lam)
 
     tail = _outside_tail(profile, lam, A, K)
-    if stochastic:  # Rademacher probes from a fixed seed
+    if path == "hutchinson":  # Rademacher probes from a fixed seed
         rng = np.random.default_rng(_PROBE_SEED)
         samples = [_lanczos_quadrature(G, rng.integers(0, 2, size=G.shape[0]) * 2.0 - 1.0, f)
                    for _ in range(probes)]
-        return (float(np.mean(samples)), tail, "hutchinson",
-                float(np.std(samples, ddof=1)) / math.sqrt(probes))
-    mu = _block_eigenvalues(G, banded=chain)
-    return float(np.sum(f(mu))), tail, "chain-window" if chain else "dense-window", 0.0
+        return TraceValue(float(np.mean(samples)), tail, path, K,
+                          float(np.std(samples, ddof=1)) / math.sqrt(probes))
+    mu = _block_eigenvalues(G, banded=path == "chain-window")
+    return TraceValue(float(np.sum(f(mu))), tail, path, K)
 
 
 def _lanczos_quadrature(G, v: np.ndarray, f) -> float:
@@ -409,7 +412,7 @@ def _outside_tail(profile: CutoffProfile, lam: float, A: OneForm, K: int) -> flo
 
 
 def twisted_heat_trace(a: FourierElement, b: FourierElement, theta: DeformationMatrix,
-                       t: float) -> HeatSample:
+                       t: float) -> TraceValue:
     """Trace of L(a) R(b) e^{-t D^2} = 2^m sum_q a_q b_{-q} S_q(t).
 
     S_q(t) is the full Gaussian lattice sum with twist vector Theta q / 2 pi
@@ -427,8 +430,7 @@ def twisted_heat_trace(a: FourierElement, b: FourierElement, theta: DeformationM
         s_q = gaussian_sum(TwistedSeries(n, {(0,) * n: 1.0}, twist), t)
         total += aq * bq * s_q
         tail += abs(aq * bq) * 1e-16 * (abs(s_q) + 1.0)
-    return HeatSample(t=t, value=(2 ** m) * total, tail_bound=(2 ** m) * tail,
-                      method="twisted-lattice")
+    return TraceValue((2 ** m) * total, (2 ** m) * tail, "twisted-lattice")
 
 
 @dataclass(frozen=True)
@@ -472,56 +474,32 @@ def correction_scaling(theta_family: Sequence[tuple], t_grid: Sequence[float],
     return out
 
 
-@dataclass(frozen=True)
-class ActionValue:
-    lam: float
-    value: float
-    tail_bound: float
-    method: str
-    stderr: float = 0.0
-
-
 def spectral_action(profile: CutoffProfile, lam: float, n: int,
                     theta: DeformationMatrix | None = None, A: OneForm | None = None,
-                    window_K: int | None = None, dense_limit: int = _DENSE_LIMIT) -> ActionValue:
+                    window_K: int | None = None, dense_limit: int = _DENSE_LIMIT) -> TraceValue:
     """Tr profile(D_A / lam): counts spectral values below the cutoff scale.
 
     Unperturbed Gaussian runs through the heat-trace code path at t = 1/lam^2;
-    other unperturbed profiles are summed directly over the lattice.  With a
-    perturbation the one perturbed-trace engine (`_perturbed_trace`) evaluates
-    the profile on the chiral Gram matrix: exactly by one solve per connected
-    block, band on collinear supports and dense otherwise, and stochastically,
-    for any profile and with a standard error, when a non-collinear support's
-    full window basis exceeds the dense limit.  A rational profile with 2r <= n
-    raises MomentError before any window is built, as the trace diverges.
+    other unperturbed profiles are summed directly over the lattice (both
+    exact-lattice).  With a perturbation the window, basis and path come from
+    `_plan`, and the one engine (`_perturbed_trace`) evaluates the profile on
+    the chiral Gram matrix: exactly by one solve per connected block, band on
+    collinear supports and dense otherwise, or stochastically, with a standard
+    error, above the dense limit.  A profile with decay <= n raises MomentError
+    before any window is built, as the trace diverges.
     """
     if lam <= 0:
         raise ValueError("cutoff scale must be positive")
-    if profile.name == "rational" and 2 * profile.params[0] <= n:
+    if n >= profile.decay:
         # Tr (1 + D^2 / lam^2)^-r diverges: the modes below |k| grow like |k|^n
-        raise MomentError("rational profile too slowly decaying for this dimension")
+        raise MomentError(f"{profile.name} profile too slowly decaying for this dimension")
     if A is None or A.is_zero():
         if profile.name == "gaussian":
             hs = heat_trace(n, 1.0 / lam ** 2)
-            return ActionValue(lam, float(hs.value), hs.tail_bound, "exact-lattice")
-        val, tail = _profile_lattice_sum(profile, lam, n)
-        return ActionValue(lam, val, tail, "exact-lattice")
-    if theta is None:
-        raise ValueError("a deformation matrix is required with a perturbation")
-    K = _window_K(profile, lam, A, window_K)
-    val, tail, path, err = _perturbed_trace(profile, lam, A, theta, K, dense_limit=dense_limit)
-    return ActionValue(lam, val, tail, path, err)
-
-
-def _profile_window_radius(profile: CutoffProfile, lam: float) -> int:
-    if profile.name == "gaussian":
-        return int(math.ceil(lam * math.sqrt(42.0)))
-    if profile.name == "super-gaussian":
-        return int(math.ceil(lam * 42.0 ** 0.25)) + 1
-    if profile.name == "rational":
-        r = profile.params[0]
-        return int(math.ceil(lam * 10.0 ** (14.0 / (2 * r))))
-    raise ValueError(f"no window policy for profile {profile.name!r}")
+            return TraceValue(float(hs.value), hs.tail_bound, "exact-lattice")
+        return TraceValue(*_profile_lattice_sum(profile, lam, n), "exact-lattice")
+    return _perturbed_trace(profile, lam, A, theta,
+                            _plan(profile, lam, A, window_K, dense_limit=dense_limit))
 
 
 def _profile_lattice_sum(profile: CutoffProfile, lam: float, n: int) -> tuple[float, float]:
@@ -530,7 +508,7 @@ def _profile_lattice_sum(profile: CutoffProfile, lam: float, n: int) -> tuple[fl
     The bound is the outside-window bound of the radius-R box summed here, plus
     1e-16 of the sum for rounding.
     """
-    R = _profile_window_radius(profile, lam)
+    R = profile.reach(lam)
     shells, _ = _lattice_shell_sums(TwistedSeries(n, {(0,) * n: 1.0}), R,
                                     lambda nsq: profile(np.sqrt(nsq) / lam))
     # the origin is not a shell
@@ -555,10 +533,10 @@ def fit_expansion(profile: CutoffProfile, lam_grid: Sequence[float], n: int,
     """Least-squares fit of the action to sum_k weight_k c_k lam^k plus a 1/lam guard.
 
     Returns the c_k with uncertainties from the residual; the caller widens
-    the grid when the reported conditioning is poor.  Every dense window of
-    the grid is checked against the dense limit, every chain window against the
-    exact limit, and the largest lattice box of an unperturbed non-Gaussian
-    profile against the lattice guard, before the first sum.
+    the grid when the reported conditioning is poor.  Before the first sum,
+    a grid with a scale whose `_plan` is stochastic is refused (a fit needs
+    exact traces), as is an unperturbed non-Gaussian profile's largest lattice
+    box beyond the lattice guard.
     """
     lams = [float(x) for x in lam_grid]
     if len(lams) < n + 3:
@@ -566,11 +544,13 @@ def fit_expansion(profile: CutoffProfile, lam_grid: Sequence[float], n: int,
     if max(lams) < 4.0 * min(lams):
         raise ValueError("grid spread must cover at least a factor of 4")
     if (A is None or A.is_zero()) and profile.name != "gaussian":
-        check_lattice_box(n, _profile_window_radius(profile, max(lams)))
+        check_lattice_box(n, profile.reach(max(lams)))
     elif A is not None and not A.is_zero():
-        limit = (_EXACT_LIMIT, "exact") if _collinear(A) else (_DENSE_LIMIT, "dense")
         for lam in lams:
-            _check_basis(_window_basis(n, _window_K(profile, lam, A)), *limit)
+            _, N, path = _plan(profile, lam, A)
+            if path == "hutchinson":
+                raise WindowError(f"window basis {N} exceeds dense limit {_DENSE_LIMIT}; "
+                                  "use a smaller scale or window")
 
     values = [spectral_action(profile, lam, n, theta=theta, A=A).value for lam in lams]
     powers = list(range(n, -1, -1)) + [-1]

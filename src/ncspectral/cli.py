@@ -130,10 +130,21 @@ def _conforms(value, default) -> bool:
     return type(value) is type(default)
 
 
+# theta preset -> the parameters it accepts; p, q and depth must be JSON integers
+_THETA_PARAMS = {"zero": (), "matrix": ("matrix",), "golden": ("scale",),
+                 "rational": ("p", "q"), "jarnik": ("f", "depth")}
+
+
 def build_theta(cfg: RunConfig) -> DeformationMatrix:
     """Deformation matrix from a preset name and parameters."""
     name, params, n = cfg.theta_preset, cfg.theta_params, cfg.n
     try:
+        if name not in _THETA_PARAMS:
+            raise ValueError("unknown preset; expected zero, matrix, golden, rational or jarnik")
+        if set(params) - set(_THETA_PARAMS[name]):
+            raise ValueError(f"parameters {sorted(params)}; expected some of {_THETA_PARAMS[name]}")
+        if any(type(params[k]) is not int for k in ("p", "q", "depth") if k in params):
+            raise ValueError("p, q and depth must be integers")
         if name == "zero":
             theta = DeformationMatrix.zero(n)
         elif name == "matrix":
@@ -143,15 +154,12 @@ def build_theta(cfg: RunConfig) -> DeformationMatrix:
             theta = DeformationMatrix.standard_block(
                 n, 2.0 * math.pi * g * params.get("scale", 1.0))
         elif name == "rational":
-            p = int(params.get("p", 1))
-            q = int(params.get("q", 2))
-            theta = DeformationMatrix.standard_block(n, 2.0 * math.pi * p / q)
+            theta = DeformationMatrix.standard_block(
+                n, 2.0 * math.pi * params.get("p", 1) / params.get("q", 2))
         elif name == "jarnik":
             prof = _approximation_profile(params.get("f", {"kind": "power", "alpha": 4}))
-            res = jarnik_construct(prof, depth=int(params.get("depth", 5)))
+            res = jarnik_construct(prof, depth=params.get("depth", 5))
             theta = DeformationMatrix.standard_block(n, 2.0 * math.pi * res.value)
-        else:
-            raise ValueError("unknown preset; expected zero, matrix, golden, rational or jarnik")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"theta {name}: {exc}") from None
     if theta.n != n:
@@ -348,8 +356,7 @@ def _cmd_action_heat(cfg: RunConfig, args) -> _Outcome:
     for t in cfg.t_grid:
         hs = heat_trace(cfg.n, float(t), theta=theta, A=None if A.is_zero() else A,
                         window_K=cfg.window_K)
-        val = hs.value if isinstance(hs.value, float) else hs.value.real
-        rows.append({"t": float(t), "value": float(val), "tail_bound": hs.tail_bound,
+        rows.append({"t": float(t), "value": float(hs.value), "tail_bound": hs.tail_bound,
                      "method": hs.method})
     print(f"heat trace sampled on {len(rows)} t values "
           f"(t in [{min(cfg.t_grid):g}, {max(cfg.t_grid):g}])")

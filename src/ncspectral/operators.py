@@ -272,11 +272,6 @@ class ModeMap:
             raise ValueError("mode map shape mismatch")
 
     @classmethod
-    def identity(cls, dim: int, spinor_dim: int) -> "ModeMap":
-        return cls(dim, spinor_dim, 0, batch=lambda ks, idx: (
-            np.arange(idx.size), ks, idx, np.ones(idx.size, dtype=complex)))
-
-    @classmethod
     def zero(cls, dim: int, spinor_dim: int) -> "ModeMap":
         return cls(dim, spinor_dim, 0, batch=lambda ks, idx: _empty(dim))
 

@@ -23,7 +23,7 @@ from ncspectral.action import (
     twisted_heat_trace,
 )
 from ncspectral.action import (_block_eigenvalues, _chiral_gram, _collinear, _lanczos_quadrature,
-                               _outside_tail)
+                               _outside_tail, _plan)
 from ncspectral.clifford import build_gamma
 from ncspectral.diophantine import golden_ratio, jarnik_construct, power_profile
 from ncspectral.operators import (
@@ -333,6 +333,32 @@ def _window_eigs(n, K, th, A):
 def _dense_reference(profile, lam, th, A, K):
     # reference: the full radius-K window, summed directly
     return float(np.sum([profile(abs(x) / lam) for x in _window_eigs(2, K, th, A)]))
+
+
+class TestTracePlan:
+    @pytest.mark.parametrize("path, terms, dense_limit", [
+        ("chain-window", [(1, (0, 1), 0.3)], 20_000),
+        ("dense-window", [(1, (1, 0), 0.3), (2, (0, 1), 0.2j)], 20_000),
+        ("hutchinson", [(1, (1, 0), 0.3), (2, (0, 1), 0.2j)], 100),
+    ])
+    def test_heat_trace_is_gaussian_action(self, path, terms, dense_limit):
+        # the heat trace at t and the Gaussian action at lam = t^-1/2 share plan and engine
+        th, A, t = theta_block(2), OneForm.from_terms(2, terms), 0.8
+        hs = heat_trace(2, t, theta=th, A=A, dense_limit=dense_limit)
+        sa = spectral_action(CutoffProfile.gaussian(), t ** -0.5, 2, theta=th, A=A,
+                             dense_limit=dense_limit)
+        assert hs.method == path
+        assert (hs.value, hs.method, hs.window_K) == (sa.value, sa.method, sa.window_K)
+
+    @pytest.mark.parametrize("profile, lam", [(CutoffProfile.gaussian(), 1.2),
+                                              (CutoffProfile.super_gaussian(), 1.2),
+                                              (CutoffProfile.rational_decay(3.0), 0.1)])
+    def test_action_reports_plan_radius(self, profile, lam):
+        th, A = theta_block(2), OneForm.from_terms(2, [(1, (0, 1), 0.3)])
+        K, _, path = _plan(profile, lam, A)
+        res = spectral_action(profile, lam, 2, theta=th, A=A)
+        assert (res.window_K, res.method) == (K, path)
+        assert K == profile.reach(lam) + A.spread + 1
 
 
 class TestChainDecomposition:

@@ -92,9 +92,16 @@ class TestExitCodes:
         (["dio", "construct", "--f", "{bad"], None),
         (["op", "check", "--n", "2", "--samples", "0"], None),
         (["op", "check", "--n", "2", "--samples", "-1"], None),
+        (["action", "fit"], {"profile": "gaussian", "profile_params": {"r": 2, "bogus": 1},
+                             "theta_params": {"scale": 1.0, "typo": 3}}),
+        (["action", "fit"], {"profile": "rational", "profile_params": {"r": 3, "s": 1}}),
+        (["dio", "classify"], {"theta_preset": "rational", "theta_params": {"p": "3", "q": 7.9}}),
+        (["action", "heat"], {"theta_preset": "jarnik", "theta_params": {"depth": 5.0}}),
     ], ids=["axis-heat", "axis-constant-term", "axis-fit", "theta-not-skew", "P-variable",
             "P-exponent", "twist-json", "P-degree", "P-zero", "n-string", "profile-unknown",
-            "n-flag-zero", "f-alpha", "f-json", "samples-zero", "samples-negative"])
+            "n-flag-zero", "f-alpha", "f-json", "samples-zero", "samples-negative",
+            "preset-param-unknown", "profile-param-unknown", "theta-param-not-int",
+            "depth-not-int"])
     def test_malformed_input_is_config_error(self, tmp_path, capsys, argv, config):
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))

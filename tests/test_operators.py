@@ -198,7 +198,11 @@ class TestGaugeTransform:
 class TestVuConjugation:
     def test_identity_operator_fixed(self, theta2):
         window = ModeWindow(2, 2, spinor_dim=2)
-        ident = ModeMap.identity(2, 2)
+
+        def identity_batch(ks, idx):
+            return np.arange(idx.size), ks, idx, np.ones(idx.size, dtype=complex)
+
+        ident = ModeMap(2, 2, 0, identity_batch)
         u = FourierElement.unit(2, (1, 1))
         assert conjugate_by_Vu(ident, u, theta2).max_deviation(ident, window) < 1e-14
 

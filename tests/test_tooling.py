@@ -40,8 +40,8 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-def private_definitions(path: Path) -> list[str]:
-    """Module-level private functions, classes and constants of a module."""
+def module_definitions(path: Path) -> list[str]:
+    """Module-level functions, classes and constants of a module."""
     names = []
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -50,7 +50,30 @@ def private_definitions(path: Path) -> list[str]:
             names.extend(t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return names
+
+
+def private_definitions(path: Path) -> list[str]:
+    """Module-level private functions, classes and constants of a module."""
+    return [name for name in module_definitions(path)
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def exported_names(path: Path) -> list[str]:
+    """The entries of a module's `__all__`, in order; empty without one."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_all_names_defined_once_in_module(path):
+    # a stale or re-exported entry in __all__ would survive the deletion of its object
+    exported = exported_names(path)
+    assert len(exported) == len(set(exported))
+    assert sorted(set(exported) - set(module_definitions(path))) == []
 
 
 def referenced_names(paths) -> set[str]:
